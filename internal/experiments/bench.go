@@ -237,9 +237,6 @@ type HostStats struct {
 	ProcsSpawned   uint64 `json:"sim_procs_spawned"`
 	ProcsReaped    uint64 `json:"sim_procs_reaped"`
 	TimersCanceled uint64 `json:"sim_timers_canceled"`
-	WheelScheduled uint64 `json:"sim_wheel_scheduled"`
-	WheelCanceled  uint64 `json:"sim_wheel_canceled"`
-	WheelPeak      int    `json:"sim_wheel_peak"`
 }
 
 // RunBench runs one bench case deterministically and returns its
@@ -350,9 +347,6 @@ func (b *BenchRun) Finish() (BenchResult, HostStats, map[string][]byte, error) {
 		ProcsSpawned:   st.ProcsSpawned,
 		ProcsReaped:    st.ProcsReaped,
 		TimersCanceled: st.TimersCanceled,
-		WheelScheduled: st.WheelScheduled,
-		WheelCanceled:  st.WheelCanceled,
-		WheelPeak:      st.WheelPeak,
 	}
 	now := m.E.Now()
 	tr := m.Genesys.Tracer()

@@ -29,9 +29,6 @@ type HostCase struct {
 	SimCallbacksRun    uint64  `json:"sim_callbacks_run"`
 	SimProcsReaped     uint64  `json:"sim_procs_reaped"`
 	SimTimersCanceled  uint64  `json:"sim_timers_canceled"`
-	SimWheelScheduled  uint64  `json:"sim_wheel_scheduled"`
-	SimWheelCanceled   uint64  `json:"sim_wheel_canceled"`
-	SimWheelPeak       int     `json:"sim_wheel_peak"`
 	// ParallelWorker is the driver worker that simulated this unit
 	// (0 in a sequential run).
 	ParallelWorker int `json:"parallel_worker"`
@@ -117,9 +114,6 @@ func (s *SuiteResult) HostReport() HostReport {
 			SimCallbacksRun:    c.Host.CallbacksRun,
 			SimProcsReaped:     c.Host.ProcsReaped,
 			SimTimersCanceled:  c.Host.TimersCanceled,
-			SimWheelScheduled:  c.Host.WheelScheduled,
-			SimWheelCanceled:   c.Host.WheelCanceled,
-			SimWheelPeak:       c.Host.WheelPeak,
 			ParallelWorker:     c.Worker,
 		})
 	}

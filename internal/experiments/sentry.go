@@ -5,10 +5,10 @@ package experiments
 // artifacts (BENCH_<case>.json, SLO_<case>.json) are deterministic for a
 // fixed seed, so the comparison is exact — any drift is a regression (or
 // an intentional change that must update the baseline in the same PR).
-// BENCH_host.json is host wall-clock and only thresholded: a case fails
-// when its wall time exceeds WallFactor × the committed baseline, loose
-// enough for CI-runner noise, tight enough to catch a hot path falling
-// off a cliff.
+// BENCH_host.json wall-clock is only thresholded: a case fails when its
+// wall time exceeds WallFactor × the committed baseline, loose enough for
+// CI-runner noise, tight enough to catch a hot path falling off a cliff.
+// Its per-case engine counters are deterministic and compared exactly.
 
 import (
 	"encoding/json"
@@ -83,7 +83,7 @@ func (r *SentryReport) Render() string {
 
 // RunSentry compares freshDir's bench artifacts against baselineDir's.
 // Every BENCH_*.json / SLO_*.json in the baseline set must exist fresh
-// and match exactly (except BENCH_host.json, thresholded); fresh
+// and match exactly (except BENCH_host.json; see diffHost); fresh
 // virtual-time artifacts missing a committed baseline also fail, so new
 // bench cases can't land ungated.
 func RunSentry(baselineDir, freshDir string, opt SentryOptions) (*SentryReport, error) {
@@ -227,17 +227,24 @@ func diffExact(name, basePath, freshPath string) ([]SentryRow, error) {
 	return rows, nil
 }
 
-// hostDoc is the slice of BENCH_host.json the sentry thresholds.
-type hostDoc struct {
-	Cases []struct {
-		Name   string  `json:"name"`
-		WallMS float64 `json:"wall_ms"`
-	} `json:"cases"`
+// hostExact are the BENCH_host.json per-case engine counters. Unlike
+// wall time they do not depend on the host, so they must match exactly.
+// A field is compared only when both files carry it.
+var hostExact = []string{
+	"sim_events_total", "sim_events_ready_fast", "sim_callbacks_run",
+	"sim_proc_switches_total", "sim_procs_reaped", "sim_timers_canceled",
 }
 
-// diffHost thresholds per-case wall-clock: fresh must stay under
-// factor × baseline. Informational rows are emitted for every case so
-// the CI log shows the wall-clock trend even when nothing fails.
+// hostDoc is the slice of BENCH_host.json the sentry checks: each case's
+// fields by JSON name.
+type hostDoc struct {
+	Cases []map[string]any `json:"cases"`
+}
+
+// diffHost compares per-case engine counters exactly and thresholds
+// per-case wall-clock: fresh must stay under factor × baseline.
+// Informational wall rows are emitted for every case so the CI log
+// shows the wall-clock trend even when nothing fails.
 func diffHost(basePath, freshPath string, factor float64) ([]SentryRow, error) {
 	var base, fresh hostDoc
 	bb, err := os.ReadFile(basePath)
@@ -254,24 +261,44 @@ func diffHost(basePath, freshPath string, factor float64) ([]SentryRow, error) {
 	if err := json.Unmarshal(fb, &fresh); err != nil {
 		return nil, fmt.Errorf("sentry: BENCH_host.json fresh: %w", err)
 	}
-	baseBy := make(map[string]float64, len(base.Cases))
+	baseBy := make(map[string]map[string]any, len(base.Cases))
 	for _, c := range base.Cases {
-		baseBy[c.Name] = c.WallMS
+		name, _ := c["name"].(string)
+		baseBy[name] = c
 	}
 	var rows []SentryRow
 	for _, c := range fresh.Cases {
-		b, ok := baseBy[c.Name]
-		if !ok || b <= 0 {
+		name, _ := c["name"].(string)
+		bc, ok := baseBy[name]
+		if !ok {
 			continue
 		}
-		fail := c.WallMS > factor*b
+		for _, k := range hostExact {
+			b, inB := bc[k].(float64)
+			f, inF := c[k].(float64)
+			if inB && inF && b != f {
+				rows = append(rows, SentryRow{
+					File:     "BENCH_host.json",
+					Metric:   name + "." + k,
+					Baseline: formatNum(b),
+					Fresh:    formatNum(f),
+					Delta:    fmtDelta(b, f),
+					Fail:     true,
+				})
+			}
+		}
+		b, _ := bc["wall_ms"].(float64)
+		if b <= 0 {
+			continue
+		}
+		f, _ := c["wall_ms"].(float64)
 		rows = append(rows, SentryRow{
 			File:     "BENCH_host.json",
-			Metric:   c.Name + ".wall_ms",
+			Metric:   name + ".wall_ms",
 			Baseline: fmt.Sprintf("%.2f", b),
-			Fresh:    fmt.Sprintf("%.2f", c.WallMS),
-			Delta:    fmt.Sprintf("%.2fx (limit %.0fx)", c.WallMS/b, factor),
-			Fail:     fail,
+			Fresh:    fmt.Sprintf("%.2f", f),
+			Delta:    fmt.Sprintf("%.2fx (limit %.0fx)", f/b, factor),
+			Fail:     f > factor*b,
 		})
 	}
 	return rows, nil

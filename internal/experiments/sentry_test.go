@@ -125,9 +125,10 @@ func TestSentryMissingAndExtraFiles(t *testing.T) {
 // TestSentryHostSchemaTolerant pins the additive-schema contract for
 // BENCH_host.json: a baseline written before the parallel driver (cases
 // with only name + wall_ms, no host_cores/parallel_schedule/
-// events_per_host_second_per_core) must still threshold cleanly against
-// a fresh report carrying every new field — and the wall-clock
-// threshold must still bite through the new schema.
+// events_per_host_second_per_core or engine counters) must still
+// threshold cleanly against a fresh report carrying every new field —
+// and the wall-clock threshold and the exact engine-counter gate must
+// still bite through the new schema.
 func TestSentryHostSchemaTolerant(t *testing.T) {
 	freshHost := `{
   "go_version": "go1.22",
@@ -143,8 +144,8 @@ func TestSentryHostSchemaTolerant(t *testing.T) {
     {"case": "idle", "seed": 1, "worker": 1, "wall_ms": 1.1}
   ],
   "cases": [
-    {"name": "fleet", "seed": 1, "wall_ms": 110.0, "parallel_worker": 0},
-    {"name": "idle", "seed": 1, "wall_ms": 1.1, "parallel_worker": 1}
+    {"name": "fleet", "seed": 1, "wall_ms": 110.0, "sim_events_total": 4230717, "sim_timers_canceled": 9000, "parallel_worker": 0},
+    {"name": "idle", "seed": 1, "wall_ms": 1.1, "sim_events_total": 2048, "parallel_worker": 1}
   ]
 }`
 	base, fresh := t.TempDir(), t.TempDir()
@@ -176,6 +177,38 @@ func TestSentryHostSchemaTolerant(t *testing.T) {
 	}
 	if !rep.Failed() {
 		t.Fatalf("wall threshold lost through the new schema:\n%s", rep.Render())
+	}
+
+	// Engine counters are exact: with both files carrying them, one
+	// event of drift fails and names the counter.
+	writeArtifacts(t, base, ok)
+	drift := map[string]string{}
+	for k, v := range ok {
+		drift[k] = v
+	}
+	drift["BENCH_host.json"] = strings.Replace(freshHost, `"sim_events_total": 4230717`,
+		`"sim_events_total": 4230718`, 1)
+	writeArtifacts(t, fresh, drift)
+	rep, err = RunSentry(base, fresh, SentryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Failed() || !strings.Contains(rep.Render(), "fleet.sim_events_total") {
+		t.Fatalf("perturbed engine counter not flagged:\n%s", rep.Render())
+	}
+	// A baseline without a counter does not gate it.
+	noField := map[string]string{}
+	for k, v := range ok {
+		noField[k] = v
+	}
+	noField["BENCH_host.json"] = strings.Replace(freshHost, `"sim_events_total": 4230717, `, "", 1)
+	writeArtifacts(t, base, noField)
+	rep, err = RunSentry(base, fresh, SentryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed() {
+		t.Fatalf("counter missing from the baseline was gated:\n%s", rep.Render())
 	}
 }
 

@@ -424,7 +424,8 @@ func TestTmpfsMatchesReferenceModel(t *testing.T) {
 		for op := 0; op < 60; op++ {
 			off := int64(rng.Intn(2048))
 			l := rng.Intn(256)
-			if rng.Intn(2) == 0 {
+			switch rng.Intn(5) {
+			case 0, 1:
 				data := make([]byte, l)
 				rng.Read(data)
 				file.Pwrite(io, data, off)
@@ -433,7 +434,20 @@ func TestTmpfsMatchesReferenceModel(t *testing.T) {
 					ref = append(ref, 0)
 				}
 				copy(ref[off:end], data)
-			} else {
+			case 2:
+				// Truncate, shrinking or extending: bytes cut off and
+				// later regrown (by a truncate or a write past the end)
+				// must read back as zeros.
+				if err := file.Node.Truncate(off); err != nil {
+					return false
+				}
+				if off <= int64(len(ref)) {
+					ref = ref[:off]
+				}
+				for int64(len(ref)) < off {
+					ref = append(ref, 0)
+				}
+			default:
 				got := make([]byte, l)
 				n, _ := file.Pread(io, got, off)
 				want := []byte{}
@@ -473,6 +487,13 @@ func TestSSDFSContentMatchesTmpfs(t *testing.T) {
 			rng.Read(data)
 			a.Pwrite(io, data, off)
 			b.Pwrite(io, data, off)
+			if rng.Intn(3) == 0 {
+				// Truncate both, shrinking or extending.
+				size := int64(rng.Intn(20480))
+				if a.Node.Truncate(size) != nil || b.Node.Truncate(size) != nil {
+					return false
+				}
+			}
 			if rng.Intn(4) == 0 {
 				sfs.DropCaches()
 			}

@@ -35,6 +35,17 @@ type tmpFile struct {
 
 func (f *tmpFile) Size() int64 { return int64(len(f.data)) }
 
+// growZeroed returns data extended with zero bytes to length n, or data
+// itself when it is already that long. It appends fresh zeros instead of
+// reslicing into spare capacity, which can still hold the bytes an
+// earlier shrinking Truncate cut off.
+func growZeroed(data []byte, n int64) []byte {
+	if n <= int64(len(data)) {
+		return data
+	}
+	return append(data, make([]byte, n-int64(len(data)))...)
+}
+
 func (f *tmpFile) charge(io *IOCtx, n int) {
 	ChargeCopy(io, int64(n), f.fs.BytesPerNS)
 }
@@ -56,9 +67,7 @@ func (f *tmpFile) WriteAt(io *IOCtx, b []byte, off int64) (int, error) {
 		return 0, errno.EINVAL
 	}
 	end := off + int64(len(b))
-	for int64(len(f.data)) < end {
-		f.data = append(f.data, 0)
-	}
+	f.data = growZeroed(f.data, end)
 	n := copy(f.data[off:end], b)
 	f.charge(io, n)
 	return n, nil
@@ -72,8 +81,6 @@ func (f *tmpFile) Truncate(size int64) error {
 		f.data = f.data[:size]
 		return nil
 	}
-	for int64(len(f.data)) < size {
-		f.data = append(f.data, 0)
-	}
+	f.data = growZeroed(f.data, size)
 	return nil
 }

@@ -246,22 +246,6 @@ func (m *Machine) wireObservability(pool *vmm.Pool) {
 	reg.RegisterGauge("sim.timers_canceled", func() int64 {
 		return int64(m.E.Stats().TimersCanceled)
 	})
-	// Two-level scheduler: far-future events park in the hierarchical
-	// timer wheel and only migrate into the comparison heap near their
-	// deadline, so heap size (and per-event log cost) tracks the
-	// near-term working set rather than every armed timeout.
-	reg.RegisterGauge("sim.wheel_scheduled", func() int64 {
-		return int64(m.E.Stats().WheelScheduled)
-	})
-	reg.RegisterGauge("sim.wheel_canceled", func() int64 {
-		return int64(m.E.Stats().WheelCanceled)
-	})
-	reg.RegisterGauge("sim.wheel_pending", func() int64 {
-		return int64(m.E.WheelPending())
-	})
-	reg.RegisterGauge("sim.wheel_peak", func() int64 {
-		return int64(m.E.Stats().WheelPeak)
-	})
 	reg.RegisterGauge("sim.events_pending", func() int64 {
 		return int64(m.E.Pending())
 	})

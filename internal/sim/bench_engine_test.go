@@ -128,9 +128,8 @@ func BenchmarkEngineTimerCancel(b *testing.B) {
 
 // benchArmCancel measures one arm/disarm pair — the fleet timeout
 // pattern — with `pending` other timers already resident, so the cost
-// of touching a populated container is what's on the clock. Near-term
-// delays exercise the heap (O(log n) removal from the middle); far
-// delays exercise the wheel (O(1) bucket swap-remove).
+// of touching a populated heap (O(log n) removal from the middle) is
+// what's on the clock.
 func benchArmCancel(b *testing.B, pending int, d Time) {
 	e := NewEngine(1)
 	hold := make([]*Timer, pending)
@@ -150,10 +149,8 @@ func benchArmCancel(b *testing.B, pending int, d Time) {
 	}
 }
 
-// BenchmarkEngineArmCancel compares schedule+cancel cost between the
-// two scheduler levels at 1k and 100k pending timers. The heap cases
-// are the single-heap baseline the wheel replaced for far-future work;
-// the wheel cases should be flat across pending-set size.
+// BenchmarkEngineArmCancel measures schedule+cancel cost at 1k and 100k
+// pending timers.
 func BenchmarkEngineArmCancel(b *testing.B) {
 	for _, tc := range []struct {
 		name    string
@@ -162,19 +159,14 @@ func BenchmarkEngineArmCancel(b *testing.B) {
 	}{
 		{"heap-1k", 1_000, 1000},
 		{"heap-100k", 100_000, 1000},
-		{"wheel-1k", 1_000, wheelCutoff + 10*wheelGran},
-		{"wheel-100k", 100_000, wheelCutoff + 10*wheelGran},
 	} {
 		b.Run(tc.name, func(b *testing.B) { benchArmCancel(b, tc.pending, tc.d) })
 	}
 }
 
-// benchDrain measures end-to-end schedule → (cascade/drain →) pop → run
-// for batches of `pending` events. Offsets below wheelCutoff keep every
-// event heap-resident (baseline); the wheel variant spreads events
-// across the level-0/1 span so frontier advance, cascades, and bucket
-// drains are all included in the per-event cost.
-func benchDrain(b *testing.B, pending int, wheel bool) {
+// benchDrain measures end-to-end schedule → pop → run for batches of
+// `pending` heap events.
+func benchDrain(b *testing.B, pending int) {
 	e := NewEngine(1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -185,13 +177,7 @@ func benchDrain(b *testing.B, pending int, wheel bool) {
 		}
 		base := e.Now()
 		for j := 0; j < n; j++ {
-			var off Time
-			if wheel {
-				off = wheelCutoff + Time((j*2654435761)>>8&(1<<22-1))
-			} else {
-				off = Time((j*2654435761)>>16&4095 + 1)
-			}
-			e.CallAt(base+off, nop)
+			e.CallAt(base+Time((j*2654435761)>>16&4095+1), nop)
 		}
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
@@ -199,21 +185,17 @@ func benchDrain(b *testing.B, pending int, wheel bool) {
 	}
 }
 
-// BenchmarkEngineDrain compares schedule-to-execution throughput of the
-// heap-only near band against wheel-routed far band at 1k and 100k
-// event batches.
+// BenchmarkEngineDrain measures schedule-to-execution throughput at 1k
+// and 100k event batches.
 func BenchmarkEngineDrain(b *testing.B) {
 	for _, tc := range []struct {
 		name    string
 		pending int
-		wheel   bool
 	}{
-		{"heap-1k", 1_000, false},
-		{"heap-100k", 100_000, false},
-		{"wheel-1k", 1_000, true},
-		{"wheel-100k", 100_000, true},
+		{"heap-1k", 1_000},
+		{"heap-100k", 100_000},
 	} {
-		b.Run(tc.name, func(b *testing.B) { benchDrain(b, tc.pending, tc.wheel) })
+		b.Run(tc.name, func(b *testing.B) { benchDrain(b, tc.pending) })
 	}
 }
 

@@ -26,21 +26,20 @@ import (
 // perturb the run it captures.
 func (e *Engine) CheckpointState() []byte {
 	var b strings.Builder
-	fmt.Fprintf(&b, "engine v1\nnow %d\nseq %d\n", int64(e.now), e.seq)
+	fmt.Fprintf(&b, "engine v2\nnow %d\nseq %d\n", int64(e.now), e.seq)
 	st := e.stats
-	fmt.Fprintf(&b, "stats scheduled=%d ready_fast=%d callbacks=%d proc_switches=%d timers_canceled=%d wheel_scheduled=%d wheel_canceled=%d spawned=%d reaped=%d heap_peak=%d ready_peak=%d wheel_peak=%d\n",
+	fmt.Fprintf(&b, "stats scheduled=%d ready_fast=%d callbacks=%d proc_switches=%d timers_canceled=%d spawned=%d reaped=%d heap_peak=%d ready_peak=%d\n",
 		st.Scheduled, st.ReadyFast, st.CallbacksRun, st.ProcSwitches,
-		st.TimersCanceled, st.WheelScheduled, st.WheelCanceled,
-		st.ProcsSpawned, st.ProcsReaped, st.HeapPeak, st.ReadyPeak, st.WheelPeak)
+		st.TimersCanceled, st.ProcsSpawned, st.ProcsReaped, st.HeapPeak,
+		st.ReadyPeak)
 	fmt.Fprintf(&b, "live %d user %d\n", e.live, e.liveUser)
 
-	// Pending events, in the global (t, seq) execution order. The heap and
-	// wheel's internal layouts are themselves deterministic for a fixed
-	// history, but sorting makes the section meaningful to read and
-	// independent of sift and bucket implementation details.
-	evs := make([]event, 0, len(e.heap)+e.wh.count+len(e.ready)-e.readyHead)
+	// Pending events, in the global (t, seq) execution order. The heap's
+	// internal layout is itself deterministic for a fixed history, but
+	// sorting makes the section meaningful to read and independent of
+	// sift implementation details.
+	evs := make([]event, 0, len(e.heap)+len(e.ready)-e.readyHead)
 	evs = append(evs, e.heap...)
-	evs = e.wheelAppendPending(evs)
 	for i := e.readyHead; i < len(e.ready); i++ {
 		ev := e.ready[i]
 		if ev.p == nil && ev.fn == nil {

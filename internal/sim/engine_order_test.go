@@ -16,20 +16,19 @@ type eventRec struct {
 }
 
 // TestInterleavingMatchesReferenceOrder is the determinism property test
-// for the three-container design (ready queue / near-term heap / timer
-// wheel): a random workload where callbacks recursively schedule more
-// work at the current instant (ready-queue path), in the near future
-// (heap path), and far enough out to park in every wheel level and the
-// overflow list, with a random subset of timers canceled from whichever
-// container holds them, must execute in exactly the (t, seq) total order
-// a single reference priority queue would produce.
+// for the two-container design (ready queue / heap): a random workload
+// where callbacks recursively schedule more work at the current instant
+// (ready-queue path), in the near future, and milliseconds to seconds
+// out (large heap distances), with a random subset of timers canceled
+// from whichever container holds them, must execute in exactly the
+// (t, seq) total order a single reference priority queue would produce.
 func TestInterleavingMatchesReferenceOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine(1)
-		var got []eventRec      // order the engine actually ran events in
-		var expect []eventRec   // reference: every surviving event's key
-		var canceled []*Timer   // timers to cancel from inside the run
+		var got []eventRec    // order the engine actually ran events in
+		var expect []eventRec // reference: every surviving event's key
+		var canceled []*Timer // timers to cancel from inside the run
 		const maxEvents = 300
 		count := 0
 
@@ -45,13 +44,11 @@ func TestInterleavingMatchesReferenceOrder(t *testing.T) {
 				case 2, 3:
 					d = Time(rng.Intn(40) + 1) // near future: the heap
 				case 4:
-					// Wheel range: level 0 through level 2 (cutoff ≤ d
-					// < full level-2 span), crossing cascade boundaries.
-					d = wheelCutoff + Time(rng.Int63n(int64(wheelGran)*wheelSlotsPer*wheelSlotsPer*wheelSlotsPer))
+					// Far future: 128µs to ~16.8s away.
+					d = 128*Microsecond + Time(rng.Int63n(int64(16800*Millisecond)))
 				default:
-					// Beyond the level-2 span: the overflow list, re-filed
-					// at level-2 cascade boundaries.
-					d = Time(int64(wheelGran)*wheelSlotsPer*wheelSlotsPer*wheelSlotsPer + rng.Int63n(int64(wheelGran)*wheelSlotsPer*wheelSlotsPer))
+					// Farther still: ~16.8s to ~17.1s away.
+					d = 16800*Millisecond + Time(rng.Int63n(int64(262*Millisecond)))
 				}
 				sq := e.seq + 1 // seq the next schedule call will assign
 				rec := eventRec{e.now + d, sq}
@@ -295,8 +292,8 @@ func TestDeadlockReportAfterReaping(t *testing.T) {
 func TestEngineStatsCounts(t *testing.T) {
 	e := NewEngine(1)
 	e.Spawn("a", func(p *Proc) {
-		p.Sleep(5)  // heap event
-		p.Yield()   // ready-queue event
+		p.Sleep(5) // heap event
+		p.Yield()  // ready-queue event
 	})
 	e.CallAfter(3, func() {}) // heap + callback
 	e.CallAfter(0, func() {}) // ready + callback
@@ -325,7 +322,7 @@ func TestEngineStatsCounts(t *testing.T) {
 
 // TestSchedulePathsAllocFree pins the engine's three schedule paths at
 // zero steady-state allocations: heap inserts, same-instant ready-queue
-// inserts, and wheel-resident AtReuse/Cancel pairs. Containers are
+// inserts, and far-future AtReuse/Cancel pairs. Containers are
 // warmed first so the assertion measures the hot path, not first-touch
 // slice growth.
 func TestSchedulePathsAllocFree(t *testing.T) {
@@ -351,17 +348,17 @@ func TestSchedulePathsAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Far-future arm/disarm — the fleet timeout pattern: the timer parks
-	// in the wheel, is canceled in O(1), and AtReuse recycles the Timer.
+	// Far-future arm/disarm — the fleet timeout pattern: the timer goes
+	// into the heap, is removed on Cancel, and AtReuse recycles it.
 	var tm *Timer
 	if avg := testing.AllocsPerRun(1000, func() {
-		tm = e.AtReuse(e.Now()+wheelCutoff+10*wheelGran, fn, tm)
+		tm = e.AtReuse(e.Now()+768*Microsecond, fn, tm)
 		tm.Cancel()
 	}); avg != 0 {
-		t.Errorf("wheel AtReuse+Cancel allocates %.2f/op, want 0", avg)
+		t.Errorf("far-future AtReuse+Cancel allocates %.2f/op, want 0", avg)
 	}
-	if e.WheelPending() != 0 {
-		t.Fatalf("wheel holds %d events after cancel loop", e.WheelPending())
+	if e.Pending() != 0 {
+		t.Fatalf("heap holds %d events after cancel loop", e.Pending())
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

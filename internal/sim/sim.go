@@ -19,7 +19,7 @@
 // Internally the engine keeps two event containers whose union is always
 // consumed in strict (time, sequence) order:
 //
-//   - a value-based binary min-heap for events in the future, and
+//   - a value-based 4-ary min-heap for events in the future, and
 //   - a same-instant ready queue (FIFO by sequence) for events scheduled
 //     at the current virtual time — unblocks, yields, spawns and
 //     zero-delay callbacks — which therefore bypass the heap entirely.
@@ -135,31 +135,29 @@ type event struct {
 	tmr *Timer
 }
 
-// Timer.loc values. A non-negative loc is a wheel bucket id
-// (level*wheelSlotsPer + slot); the sentinels identify the other
-// containers an event can live in.
+// timerLoc says which container holds a Timer's event.
+type timerLoc uint8
+
 const (
-	timerInert      = -1 // fired or canceled
-	timerInHeap     = -2 // heap, at index pos
-	timerInReady    = -3 // ready queue, at index pos
-	timerInOverflow = -4 // wheel overflow list, at index pos
+	timerInert   timerLoc = iota // fired or canceled
+	timerInHeap                  // heap, at index pos
+	timerInReady                 // ready queue, at index pos
 )
 
 // Timer is a handle to a scheduled callback that can be canceled. loc
-// identifies the container currently holding the event (heap, ready
-// queue, a wheel bucket, or the wheel overflow list) and pos its index
-// there, so cancellation is O(1) for every container but the heap.
+// identifies the container currently holding the event and pos its
+// index there, so cancellation never searches.
 type Timer struct {
 	e   *Engine
 	pos int
-	loc int
+	loc timerLoc
 }
 
 // Cancel stops the timer's callback from running. The event is removed
 // from the engine immediately — its closure (and any state the closure
 // captures) is released at cancel time, not when the event's instant is
 // reached — so mass cancellation (e.g. retransmit watchdogs disarmed by
-// fast completions) leaves no dead weight in the heap or the wheel.
+// fast completions) leaves no dead weight in the heap.
 // Canceling an already-fired or already-canceled timer is a no-op.
 func (t *Timer) Cancel() {
 	if t == nil || t.e == nil || t.loc == timerInert {
@@ -173,8 +171,6 @@ func (t *Timer) Cancel() {
 	case timerInReady:
 		e.ready[t.pos] = event{}
 		e.readyHoles++
-	default: // a wheel bucket or the overflow list
-		e.wheelCancel(t)
 	}
 	t.loc = timerInert
 }
@@ -188,18 +184,15 @@ func (t *Timer) Cancel() {
 // is measurable, and are exported in the obs metrics registry under
 // sim.*.
 type EngineStats struct {
-	Scheduled      uint64 // events ever scheduled (heap, ready queue or wheel)
+	Scheduled      uint64 // events ever scheduled (heap or ready queue)
 	ReadyFast      uint64 // events that bypassed the heap via the ready queue
 	CallbacksRun   uint64 // callback events executed inline
 	ProcSwitches   uint64 // engine→process token handoffs (resumptions)
 	TimersCanceled uint64 // At/After timers canceled before firing
-	WheelScheduled uint64 // far-future events routed to the timer wheel
-	WheelCanceled  uint64 // timers canceled while wheel-resident (O(1) removals)
 	ProcsSpawned   uint64 // processes ever spawned
 	ProcsReaped    uint64 // completed processes removed from the proc table
 	HeapPeak       int    // high-water mark of the event heap
 	ReadyPeak      int    // high-water mark of live ready-queue entries
-	WheelPeak      int    // high-water mark of wheel-resident events
 }
 
 // Engine is the discrete-event simulation core.
@@ -207,8 +200,8 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// heap is the value-based binary min-heap (ordered by (t, seq)) that
-	// holds events scheduled in the future.
+	// heap is the value-based 4-ary min-heap (ordered by (t, seq)) that
+	// holds every event scheduled after the current instant, near or far.
 	heap []event
 
 	// ready is the same-instant fast path: events scheduled at the
@@ -219,11 +212,6 @@ type Engine struct {
 	ready      []event
 	readyHead  int
 	readyHoles int
-
-	// wh is the hierarchical timer wheel holding far-future events; its
-	// buckets drain into the heap before the clock can reach them (see
-	// wheel.go), so the heap stays shallow under fleet-scale timer loads.
-	wh timerWheel
 
 	yield chan struct{}
 
@@ -259,12 +247,8 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 // Pending returns the number of events currently scheduled and not yet
 // executed (canceled ready-queue holes excluded).
 func (e *Engine) Pending() int {
-	return len(e.heap) + e.wh.count + (len(e.ready) - e.readyHead - e.readyHoles)
+	return len(e.heap) + (len(e.ready) - e.readyHead - e.readyHoles)
 }
-
-// WheelPending returns the number of far-future events currently parked
-// in the timer wheel (not yet migrated to the near-term heap).
-func (e *Engine) WheelPending() int { return e.wh.count }
 
 // LiveProcs returns the number of processes spawned and not yet finished.
 func (e *Engine) LiveProcs() int { return e.live }
@@ -393,8 +377,7 @@ func (e *Engine) heapRemove(i int) {
 }
 
 // place routes a newly scheduled event: same-instant events append to the
-// ready queue (no heap traffic), near-future events go into the heap, and
-// far-future events (at least wheelCutoff away) park in the timer wheel.
+// ready queue (no heap traffic); every later event goes into the heap.
 func (e *Engine) place(ev event) {
 	if ev.t == e.now {
 		if e.readyHead == len(e.ready) && e.readyHead > 0 {
@@ -413,10 +396,6 @@ func (e *Engine) place(ev event) {
 		}
 		return
 	}
-	if ev.t-e.now >= wheelCutoff {
-		e.wheelInsert(ev)
-		return
-	}
 	e.heapPush(ev)
 }
 
@@ -433,7 +412,7 @@ func (e *Engine) scheduleTimer(t Time, fn func()) *Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, e.now))
 	}
-	tm := &Timer{e: e, loc: timerInert}
+	tm := &Timer{e: e}
 	e.seq++
 	e.stats.Scheduled++
 	e.place(event{t: t, seq: e.seq, fn: fn, tmr: tm})
@@ -682,19 +661,6 @@ func (e *Engine) RunUntil(limit Time) error {
 		}
 		hasReady := e.readyHead < len(e.ready)
 		hasHeap := len(e.heap) > 0
-		// Bring the wheel's drain frontier past the next committed instant:
-		// wheel residents are strictly beyond the current time (ready-queue
-		// entries can never race them), so draining against the heap head —
-		// or, with an empty heap, advancing until a drain fills it — is
-		// enough to keep the global (t, seq) order exact.
-		if e.wh.count > 0 {
-			if hasHeap {
-				e.wheelCatchUp(e.heap[0].t)
-			} else if !hasReady {
-				e.wheelAdvanceUntilHeap()
-				hasHeap = len(e.heap) > 0
-			}
-		}
 		if !hasReady && !hasHeap {
 			if e.liveUser > 0 {
 				return e.deadlockErr()
@@ -769,5 +735,4 @@ func (e *Engine) Shutdown() {
 	e.heap = nil
 	e.ready = nil
 	e.readyHead, e.readyHoles = 0, 0
-	e.wheelReset()
 }

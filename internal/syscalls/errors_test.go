@@ -6,6 +6,7 @@ import (
 
 	"genesys/internal/errno"
 	"genesys/internal/fs"
+	"genesys/internal/netstack"
 )
 
 // TestBadDescriptorPaths drives every fd-taking syscall with a bad
@@ -21,6 +22,52 @@ func TestBadDescriptorPaths(t *testing.T) {
 		if r.Err != errno.EBADF || r.Ret != -1 {
 			t.Fatalf("syscall %d with bad fd = %v (ret %d), want EBADF/-1",
 				nr, r.Err, r.Ret)
+		}
+	}
+}
+
+// TestHugeCountClampsToBuffer drives every call that takes a byte count
+// in Args[1] with counts whose top bit is set. Each count clamps to the
+// call's buffer; none may turn negative and panic the kernel worker.
+func TestHugeCountClampsToBuffer(t *testing.T) {
+	for _, count := range []uint64{1 << 63, ^uint64(0)} {
+		ev := newEnv(t)
+		open := func(flags uint64) uint64 {
+			return uint64(ev.call(t, &Request{NR: SYS_open, Args: [6]uint64{flags}, Buf: []byte("/tmp/big")}).Ret)
+		}
+		socket := func(typ uint64) uint64 {
+			return uint64(ev.call(t, &Request{NR: SYS_socket, Args: [6]uint64{typ}}).Ret)
+		}
+		wr, rd := open(fs.O_CREAT|fs.O_WRONLY), open(fs.O_RDONLY)
+		ls, cl := socket(uint64(netstack.Stream)), socket(uint64(netstack.Stream))
+		ev.call(t, &Request{NR: SYS_bind, Args: [6]uint64{ls, 7200}})
+		ev.call(t, &Request{NR: SYS_listen, Args: [6]uint64{ls, 4}})
+		ev.call(t, &Request{NR: SYS_connect, Args: [6]uint64{cl, 7200}})
+		srv := uint64(ev.call(t, &Request{NR: SYS_accept, Args: [6]uint64{ls, 0}}).Ret)
+		dst, src := socket(0), socket(0)
+		ev.call(t, &Request{NR: SYS_bind, Args: [6]uint64{dst, 7201}})
+
+		for _, tc := range []struct {
+			name string
+			nr   int
+			args [6]uint64
+			buf  []byte
+			want int64
+		}{
+			{"write", SYS_write, [6]uint64{wr, count}, []byte("abcd"), 4},
+			{"pwrite", SYS_pwrite64, [6]uint64{wr, count, 0}, []byte("xy"), 2},
+			{"read", SYS_read, [6]uint64{rd, count}, make([]byte, 8), 4},
+			{"pread", SYS_pread64, [6]uint64{rd, count, 1}, make([]byte, 8), 3},
+			{"send", SYS_sendto, [6]uint64{cl, count}, []byte("ping"), 4},
+			{"recv", SYS_recvfrom, [6]uint64{srv, count, 0}, make([]byte, 8), 4},
+			{"sendto", SYS_sendto, [6]uint64{src, count, 0, 0, 7201}, []byte("dg"), 2},
+			{"recvfrom", SYS_recvfrom, [6]uint64{dst, count, 0}, make([]byte, 8), 2},
+		} {
+			r := ev.call(t, &Request{NR: tc.nr, Args: tc.args, Buf: tc.buf})
+			if r.Err != errno.OK || r.Ret != tc.want {
+				t.Fatalf("%s with count %#x = %v (ret %d), want ret %d",
+					tc.name, count, r.Err, r.Ret, tc.want)
+			}
 		}
 	}
 }

@@ -128,7 +128,7 @@ func DecodePollRevents(buf []byte, count int) []byte {
 // ready fd's revents byte is set to 1, level-triggered.
 func sysPoll(c *Ctx, r *Request) {
 	count := int(r.Args[0])
-	if count <= 0 || len(r.Buf) < count*PollFDSize {
+	if count <= 0 || count > len(r.Buf)/PollFDSize {
 		fail(r, errno.EINVAL)
 		return
 	}

@@ -170,6 +170,15 @@ func TestPollSyscallBadArgs(t *testing.T) {
 	if short.Err != errno.EINVAL {
 		t.Fatalf("poll with short buf = %v, want EINVAL", short.Err)
 	}
+	// nfds whose byte size wraps (3689348814741910324*PollFDSize is 4
+	// mod 2^64) or turns negative as an int must not pass the size check.
+	for _, nfds := range []uint64{3689348814741910324, 1 << 63} {
+		huge := &Request{NR: SYS_poll, Args: [6]uint64{nfds, 0}, Buf: make([]byte, 8)}
+		ev.call(t, huge)
+		if huge.Err != errno.EINVAL {
+			t.Fatalf("poll with %d fds = %v, want EINVAL", nfds, huge.Err)
+		}
+	}
 	bad := &Request{NR: SYS_poll, Args: [6]uint64{1, 0}, Buf: EncodePollFDs([]int{55})}
 	ev.call(t, bad)
 	if bad.Err != errno.EBADF {

@@ -172,6 +172,16 @@ func cstr(b []byte) string {
 	return string(b)
 }
 
+// userCount is the byte count a call passes in Args[1], clamped to the
+// length of its buffer. The comparison is unsigned, so a count with the
+// top bit set clamps instead of turning negative and panicking the slice.
+func userCount(r *Request) int {
+	if r.Args[1] > uint64(len(r.Buf)) {
+		return len(r.Buf)
+	}
+	return int(r.Args[1])
+}
+
 // --- filesystem ---
 
 func sysRead(c *Ctx, r *Request) {
@@ -180,10 +190,7 @@ func sysRead(c *Ctx, r *Request) {
 		fail(r, err)
 		return
 	}
-	count := int(r.Args[1])
-	if count > len(r.Buf) {
-		count = len(r.Buf)
-	}
+	count := userCount(r)
 	n, err := f.Read(c.io(), r.Buf[:count])
 	if err != nil {
 		fail(r, err)
@@ -198,10 +205,7 @@ func sysWrite(c *Ctx, r *Request) {
 		fail(r, err)
 		return
 	}
-	count := int(r.Args[1])
-	if count > len(r.Buf) {
-		count = len(r.Buf)
-	}
+	count := userCount(r)
 	n, err := f.Write(c.io(), r.Buf[:count])
 	if err != nil {
 		fail(r, err)
@@ -216,10 +220,7 @@ func sysPread(c *Ctx, r *Request) {
 		fail(r, err)
 		return
 	}
-	count := int(r.Args[1])
-	if count > len(r.Buf) {
-		count = len(r.Buf)
-	}
+	count := userCount(r)
 	n, err := f.Pread(c.io(), r.Buf[:count], int64(r.Args[2]))
 	if err != nil {
 		fail(r, err)
@@ -234,10 +235,7 @@ func sysPwrite(c *Ctx, r *Request) {
 		fail(r, err)
 		return
 	}
-	count := int(r.Args[1])
-	if count > len(r.Buf) {
-		count = len(r.Buf)
-	}
+	count := userCount(r)
 	n, err := f.Pwrite(c.io(), r.Buf[:count], int64(r.Args[2]))
 	if err != nil {
 		fail(r, err)
@@ -525,10 +523,7 @@ func sysSendto(c *Ctx, r *Request) {
 		fail(r, err)
 		return
 	}
-	count := int(r.Args[1])
-	if count > len(r.Buf) {
-		count = len(r.Buf)
-	}
+	count := userCount(r)
 	t0 := c.OS.E.Now()
 	if sock.Type() == netstack.Stream {
 		// send(2): dstPort ignored, blocks for window space, writes all.
@@ -575,8 +570,8 @@ func sysRecvfrom(c *Ctx, r *Request) {
 	}
 	t0 := c.OS.E.Now()
 	if sock.Type() == netstack.Stream {
-		count := int(r.Args[1])
-		if count > len(r.Buf) || count == 0 {
+		count := userCount(r)
+		if count == 0 {
 			count = len(r.Buf)
 		}
 		n, rerr := sock.RecvTimeout(c.P, r.Buf[:count], sim.Time(r.Args[2]))
