@@ -199,7 +199,7 @@ func BenchmarkEngineDrain(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSpawn measures goroutine-backed proc creation,
+// BenchmarkEngineSpawn measures coroutine-backed proc creation,
 // execution, and reaping in batches.
 func BenchmarkEngineSpawn(b *testing.B) {
 	e := NewEngine(1)
@@ -221,7 +221,7 @@ func BenchmarkEngineSpawn(b *testing.B) {
 }
 
 // BenchmarkEngineProcHandoff ping-pongs two procs through a pair of
-// capacity-1 queues: the full unblock → ready queue → channel-switch
+// capacity-1 queues: the full unblock → ready queue → coroutine-switch
 // cost of proc-mode communication, for comparison against
 // BenchmarkEngineCallbackHop.
 func BenchmarkEngineProcHandoff(b *testing.B) {

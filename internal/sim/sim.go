@@ -7,14 +7,14 @@
 //   - callbacks: plain functions scheduled with At/After (cancellable) or
 //     CallAt/CallAfter (fire-and-forget, allocation-free); they run inline
 //     in the engine loop and must not block, and
-//   - processes: goroutines written in ordinary imperative style that
+//   - processes: coroutines written in ordinary imperative style that
 //     interact with virtual time through Sleep, Cond.Wait, Queue and
 //     Resource operations.
 //
 // Exactly one process (or the engine loop itself) runs at any instant; the
-// engine hands a single execution token back and forth over channels, so
-// simulations are bit-deterministic for a given seed and free of data
-// races by construction.
+// engine hands a single execution token back and forth as a direct
+// coroutine switch (iter.Pull), so simulations are bit-deterministic for a
+// given seed and free of data races by construction.
 //
 // Internally the engine keeps two event containers whose union is always
 // consumed in strict (time, sequence) order:
@@ -92,19 +92,19 @@ const (
 
 type killSignal struct{}
 
-// Proc is a simulated process: a goroutine whose interaction with time is
+// Proc is a simulated process: a coroutine whose interaction with time is
 // mediated by the engine. All Proc methods must be called from the
-// process's own goroutine.
+// process's own body.
 type Proc struct {
-	e       *Engine
-	name    string
-	wake    chan struct{}
-	state   procState
-	reason  string // why the proc is blocked, for deadlock reports
-	idx     int    // position in Engine.procs, for swap-remove reaping
-	daemon  bool
-	killed  bool
-	started bool
+	e      *Engine
+	name   string
+	next   func() (struct{}, bool) // engine side: run the body to its next yield
+	yield  func(struct{}) bool     // proc side: hand the token back
+	state  procState
+	reason string // why the proc is blocked, for deadlock reports
+	idx    int    // position in Engine.procs, for swap-remove reaping
+	daemon bool
+	killed bool
 
 	// cw is this process's condition-variable waiter, embedded so Cond
 	// waits allocate nothing: a suspended process occupies at most one
@@ -178,7 +178,7 @@ func (t *Timer) Cancel() {
 // EngineStats counts the engine's own mechanics: how many events were
 // scheduled, how many took the same-instant ready-queue fast path
 // (bypassing the heap), how many callbacks ran inline versus process
-// resumptions (each resumption costs two goroutine channel switches), and
+// resumptions (each resumption is a pair of coroutine switches), and
 // timer/process lifecycle totals. They never influence virtual-time
 // behavior; they exist so host-throughput work (events per host-second)
 // is measurable, and are exported in the obs metrics registry under
@@ -213,8 +213,6 @@ type Engine struct {
 	readyHead  int
 	readyHoles int
 
-	yield chan struct{}
-
 	// inProc is true while a process holds the execution token; it guards
 	// ResumeInline against being called outside callback context.
 	inProc bool
@@ -232,10 +230,7 @@ type Engine struct {
 
 // NewEngine returns an engine whose random source is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		yield: make(chan struct{}),
-		Rand:  rand.New(rand.NewSource(seed)),
-	}
+	return &Engine{Rand: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -480,7 +475,7 @@ func (e *Engine) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 }
 
 func (e *Engine) spawn(name string, fn func(*Proc), daemon bool) *Proc {
-	p := &Proc{e: e, name: name, wake: make(chan struct{}), daemon: daemon}
+	p := &Proc{e: e, name: name, daemon: daemon}
 	p.idx = len(e.procs)
 	e.procs = append(e.procs, p)
 	e.live++
@@ -488,37 +483,42 @@ func (e *Engine) spawn(name string, fn func(*Proc), daemon bool) *Proc {
 	if !daemon {
 		e.liveUser++
 	}
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, isKill := r.(killSignal); !isKill && e.fatal == nil {
-					e.fatal = fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
-				}
-			}
-			p.state = procDone
-			e.live--
-			if !p.daemon {
-				e.liveUser--
-			}
-			e.reap(p)
-			e.yield <- struct{}{}
-		}()
-		<-p.wake
-		if p.killed {
-			panic(killSignal{})
-		}
-		p.state = procRunning
-		fn(p)
-	}()
+	p.startCoro(fn)
 	e.schedule(e.now, p, nil)
 	p.state = procRunnable
 	return p
 }
 
+// run is the process body: it runs fn on the process's coroutine and
+// retires the process when fn returns. Every panic is recovered here —
+// a killSignal unwind from Shutdown silently, anything else as the
+// engine's fatal error — so none escapes into the engine loop.
+func (p *Proc) run(fn func(*Proc)) {
+	e := p.e
+	defer func() {
+		if r := recover(); r != nil {
+			if _, isKill := r.(killSignal); !isKill && e.fatal == nil {
+				e.fatal = fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
+			}
+		}
+		p.state = procDone
+		e.live--
+		if !p.daemon {
+			e.liveUser--
+		}
+		e.reap(p)
+	}()
+	if p.killed {
+		panic(killSignal{})
+	}
+	p.state = procRunning
+	fn(p)
+}
+
 // reap removes a completed process from the proc table by swap-remove, so
 // long-running simulations do not accumulate one *Proc per retired
 // activity (e.g. per retired wavefront). It runs in the dying process's
-// goroutine while the engine is parked in resume(), so the table is never
+// coroutine while the engine is parked in resume(), so the table is never
 // touched concurrently; deadlock reports and Shutdown only ever need the
 // still-live processes that remain.
 func (e *Engine) reap(p *Proc) {
@@ -542,16 +542,14 @@ func (e *Engine) resume(p *Proc) {
 	}
 	e.stats.ProcSwitches++
 	e.inProc = true
-	p.wake <- struct{}{}
-	<-e.yield
+	p.next()
 	e.inProc = false
 }
 
 // switchToEngine gives the token back to the engine and blocks until the
 // engine resumes this process.
 func (p *Proc) switchToEngine() {
-	p.e.yield <- struct{}{}
-	<-p.wake
+	p.yield(struct{}{})
 	if p.killed {
 		panic(killSignal{})
 	}
@@ -718,7 +716,7 @@ func (e *Engine) deadlockErr() error {
 	return &ErrDeadlock{Now: e.now, Blocked: blocked}
 }
 
-// Shutdown kills every still-live process so no goroutines leak. It must
+// Shutdown kills every still-live process so no coroutines leak. It must
 // be called from outside the engine loop (i.e. not from a proc or
 // callback), typically after Run returns.
 func (e *Engine) Shutdown() {

@@ -125,19 +125,18 @@ func wcWords(n int) []string {
 
 func wcFileName(i int) string { return fmt.Sprintf("/data/corpus/doc%04d", i) }
 
-// wcCorpus builds the per-file contents with planted words and returns
-// the reference counts.
-func wcCorpus(cfg WordcountConfig) ([][]byte, []int64) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// wcWriteCorpus generates the corpus one file at a time into a single
+// reused buffer — noise letters with planted search words — writes each
+// file to m, and returns the reference counts.
+func wcWriteCorpus(m *platform.Machine, cfg WordcountConfig) ([]int64, error) {
+	src := rand.NewSource(cfg.Seed)
+	rng := rand.New(src)
 	words := wcWords(cfg.Words)
 	counts := make([]int64, cfg.Words)
-	files := make([][]byte, cfg.Files)
+	data := make([]byte, cfg.FileBytes)
 	const cell = 64 << 10
-	for f := range files {
-		data := make([]byte, cfg.FileBytes)
-		for i := range data {
-			data[i] = byte('a' + rng.Intn(20))
-		}
+	for f := 0; f < cfg.Files; f++ {
+		wcNoise(src, data)
 		plants := int(cfg.FileBytes / (16 << 10))
 		cells := cfg.FileBytes / cell
 		for i := 0; i < plants; i++ {
@@ -145,10 +144,27 @@ func wcCorpus(cfg WordcountConfig) ([][]byte, []int64) {
 			off := rng.Int63n(cells)*cell + 16 + rng.Int63n(cell-128)
 			copy(data[off:], words[w])
 		}
-		files[f] = data
 		countChunk(data, words, counts)
+		if err := m.WriteFile(wcFileName(f), data); err != nil {
+			return nil, err
+		}
 	}
-	return files, counts
+	return counts, nil
+}
+
+// wcNoise fills data with letters a–t. Each byte is 'a'+rand.Intn(20)
+// drawn straight from src: the same rejection sampling as
+// rand.(*Rand).Int31n, so the byte stream is identical to calling Intn
+// on a Rand over src, without its per-byte call chain.
+func wcNoise(src rand.Source, data []byte) {
+	const limit = (1<<31 - 1) - (1<<31)%20
+	for i := range data {
+		v := int32(src.Int63() >> 32)
+		for v > limit {
+			v = int32(src.Int63() >> 32)
+		}
+		data[i] = byte('a' + v%20)
+	}
 }
 
 // countChunk accumulates per-word counts for one chunk. The noise
@@ -179,14 +195,12 @@ func countChunk(chunk []byte, words []string, into []int64) {
 // RunWordcount executes one wordcount variant. The SSD page cache is
 // dropped first so every variant reads cold.
 func RunWordcount(m *platform.Machine, cfg WordcountConfig) (WordcountResult, error) {
-	files, expected := wcCorpus(cfg)
 	if _, err := m.SSDFS.Mount(m.VFS, "/data/corpus"); err != nil {
 		return WordcountResult{}, err
 	}
-	for i, data := range files {
-		if err := m.WriteFile(wcFileName(i), data); err != nil {
-			return WordcountResult{}, err
-		}
+	expected, err := wcWriteCorpus(m, cfg)
+	if err != nil {
+		return WordcountResult{}, err
 	}
 	m.SSDFS.DropCaches()
 	m.SSD.ResetStats()
