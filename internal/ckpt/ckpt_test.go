@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -81,6 +82,13 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	b3, _ := s.Encode()
 	if _, err := Decode(b3); err == nil {
 		t.Error("future-version snapshot decoded clean")
+	}
+	// So is a snapshot from the previous format, with a version error.
+	s.Version = Version - 1
+	b4, _ := s.Encode()
+	want := fmt.Sprintf("ckpt: snapshot version %d, want %d", Version-1, Version)
+	if _, err := Decode(b4); err == nil || err.Error() != want {
+		t.Errorf("old-version snapshot: err %v, want %q", err, want)
 	}
 }
 

@@ -552,6 +552,12 @@ func (g *Genesys) populateSlot(w *gpu.Wavefront, lane int, req syscalls.Request,
 // that observes completion: an N-interval wait costs N inline callbacks
 // and a single process switch instead of ~2N switches.
 //
+// It stays even with coroutine switches. The straight-line loop
+// (mem.PollLoad plus Sleep) reproduces every artifact byte-for-byte, but
+// it raises fleet's proc switches from 596,243 to 4,117,150, and
+// `genesys bench -parallel 1 fleet` host wall from 1.10–1.29 s to
+// 1.89–2.02 s (4 alternating runs each, 2-core Xeon, go1.24).
+//
 // phase encodes where in the loop body the next callback resumes:
 //
 //	phaseScan     — arriving at slots[i] (top of the inner loop body)

@@ -231,7 +231,6 @@ func trackByName(u *obs.Util, name string) *obs.UtilTrack {
 type HostStats struct {
 	WallNS         int64  `json:"wall_ns"`
 	Events         uint64 `json:"sim_events_total"`
-	ReadyFast      uint64 `json:"sim_events_ready_fast"`
 	CallbacksRun   uint64 `json:"sim_callbacks_run"`
 	ProcSwitches   uint64 `json:"sim_proc_switches_total"`
 	ProcsSpawned   uint64 `json:"sim_procs_spawned"`
@@ -341,7 +340,6 @@ func (b *BenchRun) Finish() (BenchResult, HostStats, map[string][]byte, error) {
 	host := HostStats{
 		WallNS:         wall.Nanoseconds(),
 		Events:         st.Scheduled,
-		ReadyFast:      st.ReadyFast,
 		CallbacksRun:   st.CallbacksRun,
 		ProcSwitches:   st.ProcSwitches,
 		ProcsSpawned:   st.ProcsSpawned,

@@ -48,8 +48,8 @@ func TestBenchHostStats(t *testing.T) {
 	if host.Events == 0 || host.ProcSwitches == 0 {
 		t.Fatalf("engine telemetry empty: %+v", host)
 	}
-	if host.Events < host.ReadyFast {
-		t.Fatalf("ready-fast %d exceeds events %d", host.ReadyFast, host.Events)
+	if host.CallbacksRun > host.Events {
+		t.Fatalf("callbacks run %d exceed events %d", host.CallbacksRun, host.Events)
 	}
 	if host.ProcsSpawned == 0 || host.ProcsReaped == 0 {
 		t.Fatalf("proc reaping not observed: %+v", host)

@@ -25,7 +25,6 @@ type HostCase struct {
 	SimEventsTotal     uint64  `json:"sim_events_total"`
 	EventsPerHostSec   float64 `json:"events_per_host_sec"`
 	SimProcSwitches    uint64  `json:"sim_proc_switches_total"`
-	SimReadyFast       uint64  `json:"sim_events_ready_fast"`
 	SimCallbacksRun    uint64  `json:"sim_callbacks_run"`
 	SimProcsReaped     uint64  `json:"sim_procs_reaped"`
 	SimTimersCanceled  uint64  `json:"sim_timers_canceled"`
@@ -110,7 +109,6 @@ func (s *SuiteResult) HostReport() HostReport {
 			SimEventsTotal:     c.Host.Events,
 			EventsPerHostSec:   perHostSec(c.Host.Events, wall),
 			SimProcSwitches:    c.Host.ProcSwitches,
-			SimReadyFast:       c.Host.ReadyFast,
 			SimCallbacksRun:    c.Host.CallbacksRun,
 			SimProcsReaped:     c.Host.ProcsReaped,
 			SimTimersCanceled:  c.Host.TimersCanceled,

@@ -209,3 +209,38 @@ func TestSSDFSDeviceAccessorAndConsoleTruncate(t *testing.T) {
 		t.Fatal("pipe size")
 	}
 }
+
+// TestFileGrowthCappedAtMaxFileSize: tmpfs and ssdfs writes and truncates
+// that would grow a file past MaxFileSize fail with EFBIG and leave the
+// file as it was, whether the end overflows int64 or not; growth up to
+// a small size still works.
+func TestFileGrowthCappedAtMaxFileSize(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		node FileNode
+	}{
+		{"tmpfs", NewTmpfs().NewFile()},
+		{"ssdfs", NewSSDFS(nil).NewFile()},
+	} {
+		f := tc.node
+		if _, err := f.WriteAt(&IOCtx{}, []byte("abc"), 0); err != nil {
+			t.Fatalf("%s: small write: %v", tc.name, err)
+		}
+		for _, off := range []int64{1 << 62, 1<<63 - 2, 1 << 31, MaxFileSize - 1} {
+			if n, err := f.WriteAt(&IOCtx{}, []byte("xy"), off); err != errno.EFBIG || n != 0 {
+				t.Errorf("%s: WriteAt(off %#x) = %d, %v, want 0, EFBIG", tc.name, off, n, err)
+			}
+		}
+		for _, size := range []int64{MaxFileSize + 1, 1 << 62, 1<<63 - 1} {
+			if err := f.Truncate(size); err != errno.EFBIG {
+				t.Errorf("%s: Truncate(%#x) = %v, want EFBIG", tc.name, size, err)
+			}
+		}
+		if f.Size() != 3 {
+			t.Errorf("%s: size %d after refused growth, want 3", tc.name, f.Size())
+		}
+		if err := f.Truncate(8); err != nil || f.Size() != 8 {
+			t.Errorf("%s: Truncate(8) = %v, size %d", tc.name, err, f.Size())
+		}
+	}
+}

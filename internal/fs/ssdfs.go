@@ -119,6 +119,9 @@ func (f *ssdFile) WriteAt(io *IOCtx, b []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, errno.EINVAL
 	}
+	if off > MaxFileSize-int64(len(b)) {
+		return 0, errno.EFBIG
+	}
 	end := off + int64(len(b))
 	f.data = growZeroed(f.data, end)
 	n := copy(f.data[off:end], b)
@@ -141,6 +144,9 @@ func (f *ssdFile) WriteAt(io *IOCtx, b []byte, off int64) (int, error) {
 func (f *ssdFile) Truncate(size int64) error {
 	if size < 0 {
 		return errno.EINVAL
+	}
+	if size > MaxFileSize {
+		return errno.EFBIG
 	}
 	if size <= int64(len(f.data)) {
 		f.data = f.data[:size]

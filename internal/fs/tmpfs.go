@@ -35,6 +35,11 @@ type tmpFile struct {
 
 func (f *tmpFile) Size() int64 { return int64(len(f.data)) }
 
+// MaxFileSize is the largest size a tmpfs or ssdfs file may reach: twice
+// the largest workload file (Figure 7's 256 MiB). A write or truncate
+// past it fails with EFBIG instead of making the host allocate the gap.
+const MaxFileSize = 512 << 20
+
 // growZeroed returns data extended with zero bytes to length n, or data
 // itself when it is already that long. It appends fresh zeros instead of
 // reslicing into spare capacity, which can still hold the bytes an
@@ -66,6 +71,9 @@ func (f *tmpFile) WriteAt(io *IOCtx, b []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, errno.EINVAL
 	}
+	if off > MaxFileSize-int64(len(b)) {
+		return 0, errno.EFBIG
+	}
 	end := off + int64(len(b))
 	f.data = growZeroed(f.data, end)
 	n := copy(f.data[off:end], b)
@@ -76,6 +84,9 @@ func (f *tmpFile) WriteAt(io *IOCtx, b []byte, off int64) (int, error) {
 func (f *tmpFile) Truncate(size int64) error {
 	if size < 0 {
 		return errno.EINVAL
+	}
+	if size > MaxFileSize {
+		return errno.EFBIG
 	}
 	if size <= int64(len(f.data)) {
 		f.data = f.data[:size]

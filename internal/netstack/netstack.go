@@ -478,7 +478,7 @@ func (sk *Socket) RecvFromTimeout(p *sim.Proc, d sim.Time) (Datagram, error) {
 	}
 	var deadline sim.Time
 	if d > 0 {
-		deadline = sk.stack.e.Now() + d
+		deadline = sk.stack.e.Deadline(d)
 	}
 	for {
 		if !sk.open {

@@ -128,7 +128,7 @@ func (pg *Poller) Wait(p *sim.Proc, d sim.Time) ([]*Socket, error) {
 	}
 	var deadline sim.Time
 	if d > 0 {
-		deadline = pg.e.Now() + d
+		deadline = pg.e.Deadline(d)
 	}
 	for {
 		if pg.closed {

@@ -134,7 +134,7 @@ func (sk *Socket) AcceptTimeout(p *sim.Proc, d sim.Time) (*Socket, error) {
 	}
 	var deadline sim.Time
 	if d > 0 {
-		deadline = sk.stack.e.Now() + d
+		deadline = sk.stack.e.Deadline(d)
 	}
 	for {
 		if !sk.open {
@@ -300,7 +300,7 @@ func (sk *Socket) RecvTimeout(p *sim.Proc, buf []byte, d sim.Time) (int, error) 
 	}
 	var deadline sim.Time
 	if d > 0 {
-		deadline = sk.stack.e.Now() + d
+		deadline = sk.stack.e.Deadline(d)
 	}
 	for {
 		if !sk.open {

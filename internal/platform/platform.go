@@ -229,13 +229,10 @@ func (m *Machine) wireObservability(pool *vmm.Pool) {
 	})
 
 	// Engine hot-path telemetry: how much scheduling work the simulation
-	// itself performs, and how much of it rides the allocation-free fast
-	// paths (ready queue, engine callbacks) versus full proc switches.
+	// itself performs, and how much of it runs as inline engine callbacks
+	// versus full proc switches.
 	reg.RegisterGauge("sim.events_total", func() int64 {
 		return int64(m.E.Stats().Scheduled)
-	})
-	reg.RegisterGauge("sim.events_ready_fast", func() int64 {
-		return int64(m.E.Stats().ReadyFast)
 	})
 	reg.RegisterGauge("sim.callbacks_run", func() int64 {
 		return int64(m.E.Stats().CallbacksRun)

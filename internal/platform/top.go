@@ -26,8 +26,8 @@ func (m *Machine) RenderTop() string {
 	b.WriteString("\n")
 
 	st := m.E.Stats()
-	fmt.Fprintf(&b, "engine  events=%d ready-fast=%d callbacks=%d switches=%d pending=%d procs=%d\n",
-		st.Scheduled, st.ReadyFast, st.CallbacksRun, st.ProcSwitches,
+	fmt.Fprintf(&b, "engine  events=%d callbacks=%d switches=%d pending=%d procs=%d\n",
+		st.Scheduled, st.CallbacksRun, st.ProcSwitches,
 		m.E.Pending(), m.E.LiveProcs())
 
 	fmt.Fprintf(&b, "kernel  workers=%d idle=%d queue=%d tasks=%d\n",

@@ -38,10 +38,10 @@ func BenchmarkEngineHeapSchedulePop(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineReadyQueue measures the same-instant fast path: each
-// callback schedules its successor at the current instant, so every
-// event rides the FIFO ready queue and never touches the heap.
-func BenchmarkEngineReadyQueue(b *testing.B) {
+// BenchmarkEngineSameInstant measures same-instant scheduling: each
+// callback schedules its successor at the current instant, so the heap
+// holds one event and every push and pop is a root operation.
+func BenchmarkEngineSameInstant(b *testing.B) {
 	e := NewEngine(1)
 	n := 0
 	var step func()
@@ -221,7 +221,7 @@ func BenchmarkEngineSpawn(b *testing.B) {
 }
 
 // BenchmarkEngineProcHandoff ping-pongs two procs through a pair of
-// capacity-1 queues: the full unblock → ready queue → coroutine-switch
+// capacity-1 queues: the full unblock → heap → coroutine-switch
 // cost of proc-mode communication, for comparison against
 // BenchmarkEngineCallbackHop.
 func BenchmarkEngineProcHandoff(b *testing.B) {

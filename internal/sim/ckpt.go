@@ -8,8 +8,8 @@ import (
 
 // CheckpointState renders the engine's complete schedulable state as a
 // deterministic byte string: the virtual clock, the event sequence
-// counter, the mechanical stats, every pending event (heap and ready
-// queue merged, in (time, sequence) order) and every live process.
+// counter, the mechanical stats, every pending event (in (time, sequence)
+// order) and every live process.
 //
 // Closures and goroutine stacks cannot be serialized from Go, so the
 // encoding describes each pending event by its instant, sequence number
@@ -26,33 +26,19 @@ import (
 // perturb the run it captures.
 func (e *Engine) CheckpointState() []byte {
 	var b strings.Builder
-	fmt.Fprintf(&b, "engine v2\nnow %d\nseq %d\n", int64(e.now), e.seq)
+	fmt.Fprintf(&b, "engine v3\nnow %d\nseq %d\n", int64(e.now), e.seq)
 	st := e.stats
-	fmt.Fprintf(&b, "stats scheduled=%d ready_fast=%d callbacks=%d proc_switches=%d timers_canceled=%d spawned=%d reaped=%d heap_peak=%d ready_peak=%d\n",
-		st.Scheduled, st.ReadyFast, st.CallbacksRun, st.ProcSwitches,
-		st.TimersCanceled, st.ProcsSpawned, st.ProcsReaped, st.HeapPeak,
-		st.ReadyPeak)
+	fmt.Fprintf(&b, "stats scheduled=%d callbacks=%d proc_switches=%d timers_canceled=%d spawned=%d reaped=%d heap_peak=%d\n",
+		st.Scheduled, st.CallbacksRun, st.ProcSwitches,
+		st.TimersCanceled, st.ProcsSpawned, st.ProcsReaped, st.HeapPeak)
 	fmt.Fprintf(&b, "live %d user %d\n", e.live, e.liveUser)
 
 	// Pending events, in the global (t, seq) execution order. The heap's
 	// internal layout is itself deterministic for a fixed history, but
 	// sorting makes the section meaningful to read and independent of
 	// sift implementation details.
-	evs := make([]event, 0, len(e.heap)+len(e.ready)-e.readyHead)
-	evs = append(evs, e.heap...)
-	for i := e.readyHead; i < len(e.ready); i++ {
-		ev := e.ready[i]
-		if ev.p == nil && ev.fn == nil {
-			continue // canceled hole
-		}
-		evs = append(evs, ev)
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].t != evs[j].t {
-			return evs[i].t < evs[j].t
-		}
-		return evs[i].seq < evs[j].seq
-	})
+	evs := append([]event(nil), e.heap...)
+	sort.Slice(evs, func(i, j int) bool { return eventLess(&evs[i], &evs[j]) })
 	fmt.Fprintf(&b, "pending %d\n", len(evs))
 	for _, ev := range evs {
 		kind := "callback"

@@ -16,12 +16,11 @@ type eventRec struct {
 }
 
 // TestInterleavingMatchesReferenceOrder is the determinism property test
-// for the two-container design (ready queue / heap): a random workload
-// where callbacks recursively schedule more work at the current instant
-// (ready-queue path), in the near future, and milliseconds to seconds
-// out (large heap distances), with a random subset of timers canceled
-// from whichever container holds them, must execute in exactly the
-// (t, seq) total order a single reference priority queue would produce.
+// for the event heap: a random workload where callbacks recursively
+// schedule more work at the current instant, in the near future, and
+// milliseconds to seconds out, with a random subset of timers canceled,
+// must execute in exactly the (t, seq) total order a reference sort of
+// the surviving events produces.
 func TestInterleavingMatchesReferenceOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -40,9 +39,9 @@ func TestInterleavingMatchesReferenceOrder(t *testing.T) {
 				var d Time
 				switch rng.Intn(6) {
 				case 0, 1:
-					d = 0 // same-instant: exercises the ready queue
+					d = 0 // same instant
 				case 2, 3:
-					d = Time(rng.Intn(40) + 1) // near future: the heap
+					d = Time(rng.Intn(40) + 1) // near future
 				case 4:
 					// Far future: 128µs to ~16.8s away.
 					d = 128*Microsecond + Time(rng.Int63n(int64(16800*Millisecond)))
@@ -70,9 +69,9 @@ func TestInterleavingMatchesReferenceOrder(t *testing.T) {
 					tm := e.After(d, func() {
 						t.Errorf("canceled timer fired (seed %d)", seed)
 					})
-					// Cancel while both containers hold live events, so
-					// removal from the middle of the heap and hole-punching
-					// in the ready queue are both exercised.
+					// Cancel while the heap holds live events at this
+					// and later instants, so removal from its middle is
+					// exercised.
 					tm.Cancel()
 					canceled = append(canceled, tm)
 				}
@@ -104,9 +103,10 @@ func TestInterleavingMatchesReferenceOrder(t *testing.T) {
 	}
 }
 
-// TestReadyQueueFIFOAtInstant checks that same-instant events — mixed
-// zero-delay callbacks, yields and unblocks — run in scheduling order.
-func TestReadyQueueFIFOAtInstant(t *testing.T) {
+// TestSameInstantEventsRunInScheduleOrder checks that same-instant
+// events — mixed zero-delay callbacks, yields and unblocks — run in
+// scheduling order.
+func TestSameInstantEventsRunInScheduleOrder(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
 	e.Spawn("driver", func(p *Proc) {
@@ -126,8 +126,8 @@ func TestReadyQueueFIFOAtInstant(t *testing.T) {
 }
 
 // TestHeapBeforeReadyAtSameInstant: an event scheduled earlier (lower
-// seq) for time T from afar (heap) must run before a ready-queue event
-// created at T with a higher seq — the cross-container comparison.
+// seq) for time T from afar must run before an event created at T with
+// a higher seq.
 func TestHeapBeforeReadyAtSameInstant(t *testing.T) {
 	e := NewEngine(1)
 	var got []string
@@ -183,9 +183,9 @@ func TestCancelReleasesEventImmediately(t *testing.T) {
 	}
 }
 
-// TestCancelInReadyQueue: canceling a same-instant timer (parked in the
-// ready queue, not the heap) must also suppress and release it.
-func TestCancelInReadyQueue(t *testing.T) {
+// TestCancelSameInstantTimer: canceling a timer armed for the current
+// instant, from inside that instant, must suppress and release it.
+func TestCancelSameInstantTimer(t *testing.T) {
 	e := NewEngine(1)
 	var ran []string
 	e.CallAt(5, func() {
@@ -193,7 +193,7 @@ func TestCancelInReadyQueue(t *testing.T) {
 		e.CallAfter(0, func() { ran = append(ran, "kept") })
 		tm.Cancel()
 		if e.Pending() != 1 {
-			t.Errorf("pending=%d after ready-queue cancel, want 1", e.Pending())
+			t.Errorf("pending=%d after same-instant cancel, want 1", e.Pending())
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -292,11 +292,11 @@ func TestDeadlockReportAfterReaping(t *testing.T) {
 func TestEngineStatsCounts(t *testing.T) {
 	e := NewEngine(1)
 	e.Spawn("a", func(p *Proc) {
-		p.Sleep(5) // heap event
-		p.Yield()  // ready-queue event
+		p.Sleep(5)
+		p.Yield()
 	})
-	e.CallAfter(3, func() {}) // heap + callback
-	e.CallAfter(0, func() {}) // ready + callback
+	e.CallAfter(3, func() {})
+	e.CallAfter(0, func() {})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -304,26 +304,27 @@ func TestEngineStatsCounts(t *testing.T) {
 	if st.CallbacksRun != 2 {
 		t.Fatalf("CallbacksRun=%d, want 2", st.CallbacksRun)
 	}
-	// spawn(now) + yield + CallAfter(0) took the ready queue.
-	if st.ReadyFast < 3 {
-		t.Fatalf("ReadyFast=%d, want >= 3", st.ReadyFast)
+	// spawn + sleep + yield + two callbacks.
+	if st.Scheduled != 5 {
+		t.Fatalf("Scheduled=%d, want 5", st.Scheduled)
 	}
 	// spawn wake + sleep wake + yield wake = 3 resumptions.
 	if st.ProcSwitches != 3 {
 		t.Fatalf("ProcSwitches=%d, want 3", st.ProcSwitches)
 	}
-	if st.Scheduled != st.ReadyFast+uint64(st.HeapPeak) && st.Scheduled < st.ReadyFast {
-		t.Fatalf("inconsistent stats: %+v", st)
+	// spawn and both callbacks are pending at t=0; the sleep wake replaces
+	// the spawn.
+	if st.HeapPeak != 3 {
+		t.Fatalf("HeapPeak=%d, want 3", st.HeapPeak)
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("pending=%d at quiescence", e.Pending())
 	}
 }
 
-// TestSchedulePathsAllocFree pins the engine's three schedule paths at
-// zero steady-state allocations: heap inserts, same-instant ready-queue
-// inserts, and far-future AtReuse/Cancel pairs. Containers are
-// warmed first so the assertion measures the hot path, not first-touch
+// TestSchedulePathsAllocFree pins the engine's schedule paths at zero
+// steady-state allocations: future inserts, same-instant inserts, and
+// far-future AtReuse/Cancel pairs. The heap is warmed first so the assertion measures the hot path, not first-touch
 // slice growth.
 func TestSchedulePathsAllocFree(t *testing.T) {
 	e := NewEngine(1)
@@ -339,10 +340,10 @@ func TestSchedulePathsAllocFree(t *testing.T) {
 	}
 
 	if avg := testing.AllocsPerRun(1000, func() { e.CallAfter(1500, fn) }); avg != 0 {
-		t.Errorf("heap CallAfter allocates %.2f/op, want 0", avg)
+		t.Errorf("future CallAfter allocates %.2f/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(1000, func() { e.CallAfter(0, fn) }); avg != 0 {
-		t.Errorf("ready-queue CallAfter allocates %.2f/op, want 0", avg)
+		t.Errorf("same-instant CallAfter allocates %.2f/op, want 0", avg)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -365,9 +366,10 @@ func TestSchedulePathsAllocFree(t *testing.T) {
 	}
 }
 
-// TestRunUntilWithReadyBacklog: stopping at a limit mid-instant and
-// resuming later must preserve order across the ready/heap boundary.
-func TestRunUntilWithReadyBacklog(t *testing.T) {
+// TestRunUntilStopsMidInstantAndResumes: events scheduled at the limit
+// instant by an event at that instant still run before RunUntil
+// returns, and resuming later preserves order.
+func TestRunUntilStopsMidInstantAndResumes(t *testing.T) {
 	e := NewEngine(1)
 	var got []string
 	e.CallAt(10, func() {

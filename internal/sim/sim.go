@@ -16,18 +16,13 @@
 // coroutine switch (iter.Pull), so simulations are bit-deterministic for a
 // given seed and free of data races by construction.
 //
-// Internally the engine keeps two event containers whose union is always
-// consumed in strict (time, sequence) order:
-//
-//   - a value-based 4-ary min-heap for events in the future, and
-//   - a same-instant ready queue (FIFO by sequence) for events scheduled
-//     at the current virtual time — unblocks, yields, spawns and
-//     zero-delay callbacks — which therefore bypass the heap entirely.
-//
-// Events are plain values stored inline in those containers, so
-// steady-state scheduling performs no allocation; only the cancellable
-// At/After path allocates its Timer handle. See EngineStats for the
-// counters that expose this machinery.
+// Internally the engine keeps one event container, a value-based 4-ary
+// min-heap keyed by (time, sequence), which holds every pending event —
+// same-instant unblocks, yields, spawns and zero-delay callbacks as much
+// as far-future deadlines. Events are plain values stored inline in the
+// heap, so steady-state scheduling performs no allocation; only the
+// cancellable At/After path allocates its Timer handle. See EngineStats
+// for the counters that expose this machinery.
 package sim
 
 import (
@@ -124,9 +119,9 @@ func (p *Proc) Now() Time { return p.e.now }
 // Rand returns the engine's deterministic random source.
 func (p *Proc) Rand() *rand.Rand { return p.e.Rand }
 
-// event is one scheduled occurrence, stored by value in the heap or the
-// ready queue. Exactly one of p or fn is set; tmr is non-nil only for
-// cancellable At/After callbacks.
+// event is one scheduled occurrence, stored by value in the heap. Exactly
+// one of p or fn is set; tmr is non-nil only for cancellable At/After
+// callbacks.
 type event struct {
 	t   Time
 	seq uint64
@@ -135,22 +130,12 @@ type event struct {
 	tmr *Timer
 }
 
-// timerLoc says which container holds a Timer's event.
-type timerLoc uint8
-
-const (
-	timerInert   timerLoc = iota // fired or canceled
-	timerInHeap                  // heap, at index pos
-	timerInReady                 // ready queue, at index pos
-)
-
-// Timer is a handle to a scheduled callback that can be canceled. loc
-// identifies the container currently holding the event and pos its
-// index there, so cancellation never searches.
+// Timer is a handle to a scheduled callback that can be canceled. pos is
+// the event's heap index while it is pending, so cancellation never
+// searches, and -1 once it has fired or been canceled.
 type Timer struct {
 	e   *Engine
 	pos int
-	loc timerLoc
 }
 
 // Cancel stops the timer's callback from running. The event is removed
@@ -160,39 +145,28 @@ type Timer struct {
 // fast completions) leaves no dead weight in the heap.
 // Canceling an already-fired or already-canceled timer is a no-op.
 func (t *Timer) Cancel() {
-	if t == nil || t.e == nil || t.loc == timerInert {
+	if t == nil || t.e == nil || t.pos < 0 {
 		return
 	}
-	e := t.e
-	e.stats.TimersCanceled++
-	switch t.loc {
-	case timerInHeap:
-		e.heapRemove(t.pos)
-	case timerInReady:
-		e.ready[t.pos] = event{}
-		e.readyHoles++
-	}
-	t.loc = timerInert
+	t.e.stats.TimersCanceled++
+	t.e.heapRemove(t.pos)
+	t.pos = -1
 }
 
 // EngineStats counts the engine's own mechanics: how many events were
-// scheduled, how many took the same-instant ready-queue fast path
-// (bypassing the heap), how many callbacks ran inline versus process
-// resumptions (each resumption is a pair of coroutine switches), and
-// timer/process lifecycle totals. They never influence virtual-time
-// behavior; they exist so host-throughput work (events per host-second)
-// is measurable, and are exported in the obs metrics registry under
-// sim.*.
+// scheduled, how many callbacks ran inline versus process resumptions
+// (each resumption is a pair of coroutine switches), and timer/process
+// lifecycle totals. They never influence virtual-time behavior; they
+// exist so host-throughput work (events per host-second) is measurable,
+// and are exported in the obs metrics registry under sim.*.
 type EngineStats struct {
-	Scheduled      uint64 // events ever scheduled (heap or ready queue)
-	ReadyFast      uint64 // events that bypassed the heap via the ready queue
+	Scheduled      uint64 // events ever scheduled
 	CallbacksRun   uint64 // callback events executed inline
 	ProcSwitches   uint64 // engine→process token handoffs (resumptions)
 	TimersCanceled uint64 // At/After timers canceled before firing
 	ProcsSpawned   uint64 // processes ever spawned
 	ProcsReaped    uint64 // completed processes removed from the proc table
 	HeapPeak       int    // high-water mark of the event heap
-	ReadyPeak      int    // high-water mark of live ready-queue entries
 }
 
 // Engine is the discrete-event simulation core.
@@ -201,17 +175,8 @@ type Engine struct {
 	seq uint64
 
 	// heap is the value-based 4-ary min-heap (ordered by (t, seq)) that
-	// holds every event scheduled after the current instant, near or far.
+	// holds every pending event, same-instant or far.
 	heap []event
-
-	// ready is the same-instant fast path: events scheduled at the
-	// current virtual time, consumed FIFO (which is (t, seq) order, since
-	// the clock and seq are both non-decreasing as entries are appended).
-	// readyHead indexes the next entry; canceled entries leave zeroed
-	// holes that the pop loop skips, counted by readyHoles.
-	ready      []event
-	readyHead  int
-	readyHoles int
 
 	// inProc is true while a process holds the execution token; it guards
 	// ResumeInline against being called outside callback context.
@@ -236,24 +201,32 @@ func NewEngine(seed int64) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
+// Deadline returns the instant d from now, saturating at MaxTime: a huge
+// d (a user-supplied timeout or sleep) means "not before the end of time"
+// instead of wrapping into the past.
+func (e *Engine) Deadline(d Time) Time {
+	if d > MaxTime-e.now {
+		return MaxTime
+	}
+	return e.now + d
+}
+
 // Stats returns a snapshot of the engine's mechanical counters.
 func (e *Engine) Stats() EngineStats { return e.stats }
 
 // Pending returns the number of events currently scheduled and not yet
-// executed (canceled ready-queue holes excluded).
-func (e *Engine) Pending() int {
-	return len(e.heap) + (len(e.ready) - e.readyHead - e.readyHoles)
-}
+// executed.
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // LiveProcs returns the number of processes spawned and not yet finished.
 func (e *Engine) LiveProcs() int { return e.live }
 
-// --- event containers ------------------------------------------------------
+// --- event heap -------------------------------------------------------------
 
-// The heap is 4-ary: pops dominate the near-term scheduler's cost, and a
-// wider node halves the sift depth — and with it the number of 40-byte
-// event moves and their GC write barriers — while the extra comparisons
-// per level stay in cache-resident memory. Because the key (t, seq) is a
+// The heap is 4-ary: pops dominate the scheduler's cost, and a wider node
+// halves the sift depth — and with it the number of 40-byte event moves
+// and their GC write barriers — while the extra comparisons per level
+// stay in cache-resident memory. Because the key (t, seq) is a
 // strict total order, pop order (and therefore every simulation artifact)
 // is identical whatever the heap's arity or internal layout.
 const heapArity = 4
@@ -331,7 +304,6 @@ func (e *Engine) heapPush(ev event) {
 	e.heap = append(e.heap, ev)
 	i := len(e.heap) - 1
 	if ev.tmr != nil {
-		ev.tmr.loc = timerInHeap
 		ev.tmr.pos = i
 	}
 	e.siftUp(i)
@@ -371,46 +343,24 @@ func (e *Engine) heapRemove(i int) {
 	}
 }
 
-// place routes a newly scheduled event: same-instant events append to the
-// ready queue (no heap traffic); every later event goes into the heap.
-func (e *Engine) place(ev event) {
-	if ev.t == e.now {
-		if e.readyHead == len(e.ready) && e.readyHead > 0 {
-			// The queue fully drained; reuse its storage from the start.
-			e.ready = e.ready[:0]
-			e.readyHead, e.readyHoles = 0, 0
-		}
-		if ev.tmr != nil {
-			ev.tmr.loc = timerInReady
-			ev.tmr.pos = len(e.ready)
-		}
-		e.ready = append(e.ready, ev)
-		e.stats.ReadyFast++
-		if live := len(e.ready) - e.readyHead - e.readyHoles; live > e.stats.ReadyPeak {
-			e.stats.ReadyPeak = live
-		}
-		return
+// schedule stamps ev with the next sequence number and pushes it.
+func (e *Engine) schedule(ev event) {
+	if ev.t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", ev.t, e.now))
 	}
+	e.seq++
+	e.stats.Scheduled++
+	ev.seq = e.seq
 	e.heapPush(ev)
 }
 
-func (e *Engine) schedule(t Time, p *Proc, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, e.now))
+// scheduleTimer schedules fn at t under the handle tm, or under a fresh
+// one if tm is nil.
+func (e *Engine) scheduleTimer(t Time, fn func(), tm *Timer) *Timer {
+	if tm == nil {
+		tm = &Timer{e: e}
 	}
-	e.seq++
-	e.stats.Scheduled++
-	e.place(event{t: t, seq: e.seq, p: p, fn: fn})
-}
-
-func (e *Engine) scheduleTimer(t Time, fn func()) *Timer {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, e.now))
-	}
-	tm := &Timer{e: e}
-	e.seq++
-	e.stats.Scheduled++
-	e.place(event{t: t, seq: e.seq, fn: fn, tmr: tm})
+	e.schedule(event{t: t, fn: fn, tmr: tm})
 	return tm
 }
 
@@ -419,12 +369,12 @@ func (e *Engine) scheduleTimer(t Time, fn func()) *Timer {
 // cancel the callback; code that never cancels should prefer CallAt,
 // which allocates nothing.
 func (e *Engine) At(t Time, fn func()) *Timer {
-	return e.scheduleTimer(t, fn)
+	return e.scheduleTimer(t, fn, nil)
 }
 
 // After schedules fn to run as a callback d from now.
 func (e *Engine) After(d Time, fn func()) *Timer {
-	return e.scheduleTimer(e.now+d, fn)
+	return e.scheduleTimer(e.now+d, fn, nil)
 }
 
 // AtReuse is At recycling tm — a Timer from a previous arm that has
@@ -433,16 +383,10 @@ func (e *Engine) After(d Time, fn func()) *Timer {
 // unconditionally store the result. Code that re-arms one deadline per
 // request (the fleet session timeout) stays allocation-free this way.
 func (e *Engine) AtReuse(t Time, fn func(), tm *Timer) *Timer {
-	if tm == nil || tm.e != e || tm.loc != timerInert {
-		return e.scheduleTimer(t, fn)
+	if tm != nil && (tm.e != e || tm.pos >= 0) {
+		tm = nil
 	}
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, e.now))
-	}
-	e.seq++
-	e.stats.Scheduled++
-	e.place(event{t: t, seq: e.seq, fn: fn, tmr: tm})
-	return tm
+	return e.scheduleTimer(t, fn, tm)
 }
 
 // CallAt schedules fn to run as a callback at absolute time t, with no
@@ -451,13 +395,13 @@ func (e *Engine) AtReuse(t Time, fn func(), tm *Timer) *Timer {
 // value, so scheduling performs no allocation and the hop runs inline in
 // the engine loop instead of costing a process switch.
 func (e *Engine) CallAt(t Time, fn func()) {
-	e.schedule(t, nil, fn)
+	e.schedule(event{t: t, fn: fn})
 }
 
 // CallAfter schedules fn to run as a callback d from now, with no
 // cancellation handle (see CallAt).
 func (e *Engine) CallAfter(d Time, fn func()) {
-	e.schedule(e.now+d, nil, fn)
+	e.schedule(event{t: e.now + d, fn: fn})
 }
 
 // Spawn starts a new process named name running fn. The process begins
@@ -484,7 +428,7 @@ func (e *Engine) spawn(name string, fn func(*Proc), daemon bool) *Proc {
 		e.liveUser++
 	}
 	p.startCoro(fn)
-	e.schedule(e.now, p, nil)
+	e.schedule(event{t: e.now, p: p})
 	p.state = procRunnable
 	return p
 }
@@ -556,7 +500,8 @@ func (p *Proc) switchToEngine() {
 	p.state = procRunning
 }
 
-// Sleep suspends the process for duration d of virtual time.
+// Sleep suspends the process for duration d of virtual time, or until
+// MaxTime if now+d would pass it.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
@@ -564,7 +509,7 @@ func (p *Proc) Sleep(d Time) {
 	if d == 0 {
 		return
 	}
-	p.e.schedule(p.e.now+d, p, nil)
+	p.e.schedule(event{t: p.e.Deadline(d), p: p})
 	p.state = procBlocked
 	p.reason = "sleep"
 	p.switchToEngine()
@@ -573,7 +518,7 @@ func (p *Proc) Sleep(d Time) {
 // Yield reschedules the process at the current time, letting any other
 // event scheduled for this instant run first.
 func (p *Proc) Yield() {
-	p.e.schedule(p.e.now, p, nil)
+	p.e.schedule(event{t: p.e.now, p: p})
 	p.state = procBlocked
 	p.reason = "yield"
 	p.switchToEngine()
@@ -589,7 +534,7 @@ func (p *Proc) block(reason string) {
 
 // unblock schedules p to resume at the current time.
 func (p *Proc) unblock() {
-	p.e.schedule(p.e.now, p, nil)
+	p.e.schedule(event{t: p.e.now, p: p})
 	p.state = procRunnable
 }
 
@@ -643,58 +588,20 @@ func (e *Engine) RunUntil(limit Time) error {
 		if e.fatal != nil {
 			return e.fatal
 		}
-		// Advance past canceled holes at the ready-queue head.
-		for e.readyHead < len(e.ready) {
-			h := &e.ready[e.readyHead]
-			if h.p == nil && h.fn == nil {
-				e.readyHead++
-				e.readyHoles--
-				continue
-			}
-			break
-		}
-		if e.readyHead == len(e.ready) && e.readyHead > 0 {
-			e.ready = e.ready[:0]
-			e.readyHead, e.readyHoles = 0, 0
-		}
-		hasReady := e.readyHead < len(e.ready)
-		hasHeap := len(e.heap) > 0
-		if !hasReady && !hasHeap {
+		if len(e.heap) == 0 {
 			if e.liveUser > 0 {
 				return e.deadlockErr()
 			}
 			return nil
 		}
-		// The ready queue is FIFO by (t, seq) and the heap is a min-heap
-		// by (t, seq), so the global next event is whichever head is
-		// smaller — this comparison is what keeps the fast path
-		// bit-identical to a single ordered queue.
-		useReady := hasReady
-		if hasReady && hasHeap {
-			h, r := &e.heap[0], &e.ready[e.readyHead]
-			if h.t < r.t || (h.t == r.t && h.seq < r.seq) {
-				useReady = false
-			}
+		if e.heap[0].t > limit {
+			e.now = limit
+			return nil
 		}
-		var ev event
-		if useReady {
-			if e.ready[e.readyHead].t > limit {
-				e.now = limit
-				return nil
-			}
-			ev = e.ready[e.readyHead]
-			e.ready[e.readyHead] = event{} // release references
-			e.readyHead++
-		} else {
-			if e.heap[0].t > limit {
-				e.now = limit
-				return nil
-			}
-			ev = e.heapPop()
-		}
+		ev := e.heapPop()
 		e.now = ev.t
 		if ev.tmr != nil {
-			ev.tmr.loc = timerInert
+			ev.tmr.pos = -1
 		}
 		if ev.p != nil {
 			e.resume(ev.p)
@@ -731,6 +638,4 @@ func (e *Engine) Shutdown() {
 		e.resume(p)
 	}
 	e.heap = nil
-	e.ready = nil
-	e.readyHead, e.readyHoles = 0, 0
 }

@@ -342,7 +342,7 @@ func TestEventHeapProperty(t *testing.T) {
 		e := NewEngine(1)
 		var popped []Time
 		for _, ti := range times {
-			e.schedule(Time(ti), nil, func() { popped = append(popped, e.Now()) })
+			e.schedule(event{t: Time(ti), fn: func() { popped = append(popped, e.Now()) }})
 		}
 		if err := e.Run(); err != nil {
 			return false

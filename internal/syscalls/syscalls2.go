@@ -200,9 +200,16 @@ func sysDup(c *Ctx, r *Request) {
 }
 
 // sysNanosleep: Args[0] = duration in nanoseconds. The OS worker thread
-// sleeps on the caller's behalf — a deliberately blocking call.
+// sleeps on the caller's behalf — a deliberately blocking call. A
+// negative duration is EINVAL; one past the end of time sleeps until
+// sim.MaxTime.
 func sysNanosleep(c *Ctx, r *Request) {
-	c.P.Sleep(sim.Time(r.Args[0]))
+	d := sim.Time(r.Args[0])
+	if d < 0 {
+		fail(r, errno.EINVAL)
+		return
+	}
+	c.P.Sleep(d)
 }
 
 func sysGetpid(c *Ctx, r *Request) {

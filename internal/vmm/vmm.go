@@ -54,6 +54,23 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxMapPages bounds the anonymous pages one address space may have
+// mapped at once: 16× the physical pool. Paging lets a workload map more
+// than it can hold (miniAMR maps ~1.02×, the eviction tests 8×), but
+// every mapped page carries host-side state, so an absurd mmap length
+// fails with ENOMEM before any of that state is allocated.
+func (c Config) maxMapPages() int64 { return 16 * c.PhysPages }
+
+// pagesFor returns the number of pageSize pages covering length bytes,
+// without the overflow of rounding length up first.
+func pagesFor(length, pageSize int64) int64 {
+	n := length / pageSize
+	if length%pageSize != 0 {
+		n++
+	}
+	return n
+}
+
 // Pool is the machine-wide physical page pool.
 type Pool struct {
 	Total int64
@@ -88,9 +105,7 @@ type VMA struct {
 // End returns the first address past the mapping.
 func (v *VMA) End() uint64 { return v.Start + uint64(v.Length) }
 
-func (v *VMA) pages(pageSize int64) int64 {
-	return (v.Length + pageSize - 1) / pageSize
-}
+func (v *VMA) pages(pageSize int64) int64 { return pagesFor(v.Length, pageSize) }
 
 // AddressSpace is one process's memory map.
 type AddressSpace struct {
@@ -98,8 +113,9 @@ type AddressSpace struct {
 	cfg  Config
 	pool *Pool
 
-	vmas     []*VMA
-	nextAddr uint64
+	vmas        []*VMA
+	nextAddr    uint64
+	mappedPages int64 // anonymous pages mapped, bounded by maxMapPages
 
 	rssPages    int64
 	maxRSSPages int64
@@ -174,12 +190,16 @@ func (as *AddressSpace) mmap(length int64, dev []byte) (uint64, error) {
 		return 0, errno.EINVAL
 	}
 	pageSize := as.cfg.PageSize
-	length = (length + pageSize - 1) / pageSize * pageSize
+	n := pagesFor(length, pageSize)
+	if dev == nil && n > as.cfg.maxMapPages()-as.mappedPages {
+		return 0, errno.ENOMEM
+	}
+	length = n * pageSize
 	v := &VMA{Start: as.nextAddr, Length: length, Device: dev}
 	if dev == nil {
-		n := v.pages(pageSize)
 		v.present = make([]bool, n)
 		v.swapped = make([]bool, n)
+		as.mappedPages += n
 	}
 	as.nextAddr += uint64(length) + uint64(pageSize) // guard page
 	as.vmas = append(as.vmas, v)
@@ -204,12 +224,15 @@ func (as *AddressSpace) FindVMA(addr uint64) (*VMA, error) { return as.find(addr
 func (as *AddressSpace) Munmap(p *sim.Proc, addr uint64, length int64) error {
 	for i, v := range as.vmas {
 		if v.Start == addr {
-			if length > 0 && (length+as.cfg.PageSize-1)/as.cfg.PageSize*as.cfg.PageSize != v.Length {
+			ps := as.cfg.PageSize
+			if length > 0 && pagesFor(length, ps) != v.pages(ps) {
 				return errno.EINVAL
 			}
-			freed := as.releaseRange(p, v, 0, v.pages(as.cfg.PageSize), false)
+			as.releaseRange(p, v, 0, v.pages(ps), false)
+			if v.Device == nil {
+				as.mappedPages -= v.pages(ps)
+			}
 			as.vmas = append(as.vmas[:i], as.vmas[i+1:]...)
-			_ = freed
 			return nil
 		}
 	}

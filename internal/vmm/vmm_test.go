@@ -259,3 +259,32 @@ func TestPoolAccountingInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMmapLengthBound: a mapping whose length would overflow page
+// rounding, or push the address space past maxMapPages, fails with
+// ENOMEM before any per-page state is allocated; unmapping returns the
+// budget.
+func TestMmapLengthBound(t *testing.T) {
+	_, as := newAS(64)
+	for _, length := range []int64{1 << 62, 1<<63 - 1, 64*16*4096 + 1} {
+		if _, err := as.Mmap(length); err != errno.ENOMEM {
+			t.Errorf("Mmap(%#x) = %v, want ENOMEM", length, err)
+		}
+	}
+	addr, err := as.Mmap(64 * 16 * 4096) // exactly the bound
+	if err != nil {
+		t.Fatalf("Mmap at the bound: %v", err)
+	}
+	if _, err := as.Mmap(1); err != errno.ENOMEM {
+		t.Fatalf("Mmap past a full budget = %v, want ENOMEM", err)
+	}
+	if err := as.Munmap(nil, addr, 1<<63-1); err != errno.EINVAL {
+		t.Fatalf("Munmap with a wrapping length = %v, want EINVAL", err)
+	}
+	if err := as.Munmap(nil, addr, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := as.Mmap(64 * 16 * 4096); err != nil {
+		t.Fatalf("Mmap after Munmap: %v", err)
+	}
+}
