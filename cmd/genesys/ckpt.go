@@ -61,6 +61,9 @@ func restoreCmd(args []string) {
 	if err != nil {
 		fatalf("restore: %v", err)
 	}
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		fatalf("restore: %v", err)
+	}
 	fmt.Printf("restoring %s: case %q seed %d, cut at t=%v\n",
 		path, s.Meta.Case, s.Meta.Seed, time.Duration(s.CutAt))
 	res, _, artifacts, err := experiments.ResumeBench(path)

@@ -115,7 +115,7 @@ func (d *SSD) transfer(p *sim.Proc, n int64, op string, trace uint64) error {
 		d.chFree[best] = end
 		d.Commands.Inc()
 		d.trace.AddInterval(start, end, float64(n))
-		if d.events.CaptureActive() {
+		if d.events != nil {
 			fp := obs.FlowNone
 			if trace != 0 {
 				fp = obs.FlowStep

@@ -28,7 +28,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -236,7 +235,7 @@ type Genesys struct {
 	// slots keep completing through the normal batch/watchdog paths in
 	// their owner's context (Slot.owner); the ledger exists so retirement
 	// is an explicit hand-off rather than silent aliasing, and so tests
-	// and /sys/genesys/stats can see adoption balance out.
+	// and the genesys.orphans_* metrics can see adoption balance out.
 	orphans map[int]uint64
 
 	Invocations   sim.Counter
@@ -458,14 +457,6 @@ func (g *Genesys) registerSysfs() {
 			return []byte("no tracer attached\n")
 		}
 		return []byte(g.tracer.CritPath())
-	}})
-	g.OS.SysfsRoot.Add("stats", &fs.GenFile{Gen: func() []byte {
-		return []byte(fmt.Sprintf(
-			"invocations %d\nbatches %d\nbatched_waves %d\nslot_conflicts %d\noutstanding %d\n"+
-				"orphans_adopted %d\norphans_completed %d\norphans_live %d\n",
-			g.Invocations.Value(), g.Batches.Value(), g.BatchedWaves.Value(),
-			g.SlotConflicts.Value(), g.outstanding,
-			g.OrphansAdopted.Value(), g.OrphansCompleted.Value(), len(g.orphans)))
 	}})
 }
 

@@ -155,6 +155,16 @@ func (t *Tracer) record(c callTrace) {
 	st.hist.AddEx(totalUS, c.id, c.harvest)
 }
 
+// nrTotal returns the sample count and p99 (µs) of syscall nr's
+// end-to-end latency histogram, the one CritPath renders.
+func (t *Tracer) nrTotal(nr int) (int, float64) {
+	st := t.byNR[nr]
+	if st == nil {
+		return 0, 0
+	}
+	return st.hist.N(), st.hist.Quantile(99)
+}
+
 // Calls returns how many system calls were traced.
 func (t *Tracer) Calls() int { return t.n }
 
@@ -326,18 +336,26 @@ func (g *Genesys) SetEventLog(l *obs.EventLog) { g.events = l }
 // placed on the synthetic process/thread where that phase ran and
 // linked by the call's trace ID into one causal flow chain.
 func (g *Genesys) finishTrace(s *Slot) {
+	c := s.trace
+	// The latency-outlier detector judges a call against its syscall's
+	// end-to-end distribution as it stood before the call joined it.
+	var priorN int
+	var priorP99 float64
 	if g.tracer != nil {
-		g.tracer.record(s.trace)
+		if g.flight != nil && !c.aborted && c.stamped() {
+			priorN, priorP99 = g.tracer.nrTotal(c.nr)
+		}
+		g.tracer.record(c)
 	}
 	g.noteDone(s)
-	c := s.trace
 	name := syscalls.Name(c.nr)
-	if g.events.CaptureActive() {
+	if g.events != nil {
 		g.emitSpans(s, c, name)
 	}
-	// Flight detectors run after span emission so a triggered bundle's
-	// filtered trace already contains this call's complete chain. Pure
-	// accounting: no virtual-time or randomness side effects.
+	// Flight detectors run after span emission and tracer recording so a
+	// triggered bundle's filtered trace and critpath snapshot already
+	// contain this call. Pure accounting: no virtual-time or randomness
+	// side effects.
 	if g.flight != nil {
 		if c.aborted {
 			g.flight.NoteAbort(name, c.id, c.done)
@@ -346,7 +364,7 @@ func (g *Genesys) finishTrace(s *Slot) {
 			if end == 0 {
 				end = c.done
 			}
-			g.flight.NoteCall(name, c.nr, c.id, (end - c.claim).Micro(), end)
+			g.flight.NoteCall(name, c.id, (end - c.claim).Micro(), end, priorN, priorP99)
 		}
 	}
 }

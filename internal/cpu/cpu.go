@@ -1,7 +1,6 @@
 // Package cpu models the host CPU: a fixed number of cores that simulated
 // threads compete for, with run-to-block scheduling, priority classes and
-// a per-bin utilization ledger used to regenerate the paper's CPU
-// utilization traces (Figure 14).
+// a busy-time ledger behind the paper's CPU utilization figures.
 package cpu
 
 import (
@@ -20,13 +19,11 @@ const (
 type Config struct {
 	Cores    int
 	ClockMHz int
-	// UtilBin is the bin width of the utilization trace.
-	UtilBin sim.Time
 }
 
 // DefaultConfig matches Table III: 4 cores at 2.7 GHz.
 func DefaultConfig() Config {
-	return Config{Cores: 4, ClockMHz: 2700, UtilBin: 10 * sim.Millisecond}
+	return Config{Cores: 4, ClockMHz: 2700}
 }
 
 // CPU is the simulated processor complex.
@@ -35,7 +32,6 @@ type CPU struct {
 	cfg   Config
 	cores *sim.Resource
 
-	util      *sim.Series // busy nanoseconds per bin, summed over cores
 	busyTotal sim.Time
 
 	// busy/waiting, when attached, integrate core occupancy and the
@@ -55,14 +51,10 @@ func New(e *sim.Engine, cfg Config) *CPU {
 	if cfg.Cores <= 0 {
 		panic("cpu: need at least one core")
 	}
-	if cfg.UtilBin <= 0 {
-		cfg.UtilBin = 10 * sim.Millisecond
-	}
 	return &CPU{
 		e:     e,
 		cfg:   cfg,
 		cores: sim.NewResource(e, "cpu-cores", cfg.Cores),
-		util:  sim.NewSeries(cfg.UtilBin),
 	}
 }
 
@@ -91,7 +83,7 @@ func (c *CPU) Exec(p *sim.Proc, d sim.Time, prio int) {
 	c.waiting.Add(start, -1)
 	c.busy.Add(start, 1)
 	p.Sleep(d)
-	c.noteBusy(start, c.e.Now())
+	c.busyTotal += c.e.Now() - start
 	c.busy.Add(c.e.Now(), -1)
 	c.cores.Release()
 }
@@ -113,28 +105,8 @@ func (c *CPU) ExecChunked(p *sim.Proc, total, chunk sim.Time, prio int) {
 	}
 }
 
-func (c *CPU) noteBusy(t0, t1 sim.Time) {
-	c.busyTotal += t1 - t0
-	c.util.AddInterval(t0, t1, float64(t1-t0))
-}
-
 // BusyTotal returns total core-busy time accumulated so far.
 func (c *CPU) BusyTotal() sim.Time { return c.busyTotal }
-
-// UtilizationTrace returns per-bin utilization as a percentage of all
-// cores (0–100).
-func (c *CPU) UtilizationTrace() []float64 {
-	bins := c.util.Bins()
-	denom := float64(c.cfg.UtilBin) * float64(c.cfg.Cores)
-	out := make([]float64, len(bins))
-	for i, b := range bins {
-		out[i] = 100 * b / denom
-	}
-	return out
-}
-
-// UtilBin returns the width of one utilization bin.
-func (c *CPU) UtilBin() sim.Time { return c.cfg.UtilBin }
 
 // MeanUtilization returns average utilization (percent of all cores)
 // over [0, until].

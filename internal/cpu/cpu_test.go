@@ -8,7 +8,7 @@ import (
 
 func TestExecSerializesOnOneCore(t *testing.T) {
 	e := sim.NewEngine(1)
-	c := New(e, Config{Cores: 1, ClockMHz: 2700, UtilBin: sim.Millisecond})
+	c := New(e, Config{Cores: 1, ClockMHz: 2700})
 	var done []sim.Time
 	for i := 0; i < 3; i++ {
 		e.Spawn("t", func(p *sim.Proc) {
@@ -29,7 +29,7 @@ func TestExecSerializesOnOneCore(t *testing.T) {
 
 func TestExecParallelAcrossCores(t *testing.T) {
 	e := sim.NewEngine(1)
-	c := New(e, Config{Cores: 4, ClockMHz: 2700, UtilBin: sim.Millisecond})
+	c := New(e, Config{Cores: 4, ClockMHz: 2700})
 	for i := 0; i < 4; i++ {
 		e.Spawn("t", func(p *sim.Proc) {
 			c.Exec(p, sim.Millisecond, PrioNormal)
@@ -48,7 +48,7 @@ func TestExecParallelAcrossCores(t *testing.T) {
 
 func TestPriorityPreference(t *testing.T) {
 	e := sim.NewEngine(1)
-	c := New(e, Config{Cores: 1, ClockMHz: 2700, UtilBin: sim.Millisecond})
+	c := New(e, Config{Cores: 1, ClockMHz: 2700})
 	var order []string
 	// Occupy the core, then queue a normal and a kernel-priority thread.
 	e.Spawn("hog", func(p *sim.Proc) {
@@ -74,7 +74,7 @@ func TestPriorityPreference(t *testing.T) {
 
 func TestExecChunkedFairness(t *testing.T) {
 	e := sim.NewEngine(1)
-	c := New(e, Config{Cores: 1, ClockMHz: 2700, UtilBin: sim.Millisecond})
+	c := New(e, Config{Cores: 1, ClockMHz: 2700})
 	var aDone, bDone sim.Time
 	e.Spawn("a", func(p *sim.Proc) {
 		c.ExecChunked(p, 10*sim.Millisecond, sim.Millisecond, PrioNormal)
@@ -93,18 +93,14 @@ func TestExecChunkedFairness(t *testing.T) {
 	}
 }
 
-func TestUtilizationTrace(t *testing.T) {
+func TestMeanUtilization(t *testing.T) {
 	e := sim.NewEngine(1)
-	c := New(e, Config{Cores: 2, ClockMHz: 2700, UtilBin: sim.Millisecond})
+	c := New(e, Config{Cores: 2, ClockMHz: 2700})
 	e.Spawn("t", func(p *sim.Proc) {
-		c.Exec(p, sim.Millisecond, PrioNormal) // 1 of 2 cores busy for bin 0
+		c.Exec(p, sim.Millisecond, PrioNormal) // 1 of 2 cores busy
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-	tr := c.UtilizationTrace()
-	if len(tr) == 0 || tr[0] < 49 || tr[0] > 51 {
-		t.Fatalf("utilization trace = %v, want bin0 ≈ 50%%", tr)
 	}
 	if got := c.MeanUtilization(sim.Millisecond); got < 49 || got > 51 {
 		t.Fatalf("mean utilization = %v", got)
@@ -113,7 +109,7 @@ func TestUtilizationTrace(t *testing.T) {
 
 func TestCyclesTime(t *testing.T) {
 	e := sim.NewEngine(1)
-	c := New(e, Config{Cores: 1, ClockMHz: 2700, UtilBin: sim.Millisecond})
+	c := New(e, Config{Cores: 1, ClockMHz: 2700})
 	// 2700 cycles at 2.7 GHz = 1 us.
 	if got := c.CyclesTime(2700); got != sim.Microsecond {
 		t.Fatalf("CyclesTime(2700) = %v, want 1us", got)

@@ -16,9 +16,6 @@ func TestDefaultsAndAccessors(t *testing.T) {
 	if c.Config().Cores != 4 || c.Cores().Total() != 4 {
 		t.Fatal("accessors")
 	}
-	if c.UtilBin() != cfg.UtilBin {
-		t.Fatal("util bin")
-	}
 	if c.MeanUtilization(0) != 0 {
 		t.Fatal("mean utilization over empty window")
 	}
@@ -30,8 +27,7 @@ func TestDefaultsAndAccessors(t *testing.T) {
 	if c.BusyTotal() != 0 {
 		t.Fatal("zero exec consumed time")
 	}
-	// Zero UtilBin falls back to a sane default; zero cores panics.
-	_ = New(e, Config{Cores: 1, ClockMHz: 1000})
+	// Zero cores panics.
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero cores did not panic")

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"genesys/internal/fault"
@@ -10,11 +12,11 @@ import (
 	"genesys/internal/workloads"
 )
 
-// chaosFleet runs the service-fleet workload under worker-stall faults
-// and returns the flight recorder's bundles.
-func chaosFleet(t *testing.T, seed int64) []*obs.Bundle {
+// chaosFleet runs the service-fleet workload under the given fault
+// profile and returns the flight recorder's bundles.
+func chaosFleet(t *testing.T, profile string, seed int64) []*obs.Bundle {
 	t.Helper()
-	plan, err := fault.PlanFor("worker-stall", 0.05)
+	plan, err := fault.PlanFor(profile, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,17 +33,29 @@ func chaosFleet(t *testing.T, seed int64) []*obs.Bundle {
 	return m.Obs.Flight.Bundles()
 }
 
+// bundlesSHA256 hashes the bundles' names and bytes in trigger order.
+func bundlesSHA256(bs []*obs.Bundle) string {
+	h := sha256.New()
+	for _, b := range bs {
+		h.Write([]byte(b.Name()))
+		h.Write(b.JSON())
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestAnomalyBundlesDeterministic is the acceptance gate for the flight
 // recorder: a seeded chaos fleet run must trip at least one detector,
 // the bundle's filtered trace must contain only the implicated +
 // neighbor chains, and two identical in-process runs must produce
-// byte-identical bundles.
+// byte-identical bundles. The bundles' bytes are pinned by hash, so a
+// change to the recorder that alters them fails here; transient-errno
+// at seed 2 trips slo-burn as well as fault-surfaced.
 func TestAnomalyBundlesDeterministic(t *testing.T) {
-	a := chaosFleet(t, 3)
+	a := chaosFleet(t, "worker-stall", 3)
 	if len(a) == 0 {
 		t.Fatal("chaos fleet run tripped no detector")
 	}
-	b := chaosFleet(t, 3)
+	b := chaosFleet(t, "worker-stall", 3)
 	if len(a) != len(b) {
 		t.Fatalf("bundle count diverged: %d vs %d", len(a), len(b))
 	}
@@ -78,6 +92,20 @@ func TestAnomalyBundlesDeterministic(t *testing.T) {
 		if seen == 0 {
 			t.Fatalf("%s trace has no flow-tagged events", bun.Name())
 		}
+	}
+	if got, want := bundlesSHA256(a), "032adc490fac324002ae5ec659f3b5cd2227df89ccfb495934caf0c6c892d7ae"; got != want {
+		t.Errorf("worker-stall bundles sha256 = %s, want %s", got, want)
+	}
+	te := chaosFleet(t, "transient-errno", 2)
+	burned := false
+	for _, bun := range te {
+		burned = burned || bun.Reason == "slo-burn"
+	}
+	if !burned {
+		t.Error("transient-errno fleet run tripped no slo-burn")
+	}
+	if got, want := bundlesSHA256(te), "f1a54dc5d483ad383790b029878009372ac0c2f07a0c8fbfb68d8f688306ffb2"; got != want {
+		t.Errorf("transient-errno bundles sha256 = %s, want %s", got, want)
 	}
 }
 

@@ -212,7 +212,8 @@ func TestSSDFSDeviceAccessorAndConsoleTruncate(t *testing.T) {
 
 // TestFileGrowthCappedAtMaxFileSize: tmpfs and ssdfs writes and truncates
 // that would grow a file past MaxFileSize fail with EFBIG and leave the
-// file as it was, whether the end overflows int64 or not; growth up to
+// file as it was, whether the end overflows int64 or not; a zero-length
+// write past the end leaves the size alone, as POSIX does; growth up to
 // a small size still works.
 func TestFileGrowthCappedAtMaxFileSize(t *testing.T) {
 	for _, tc := range []struct {
@@ -229,6 +230,11 @@ func TestFileGrowthCappedAtMaxFileSize(t *testing.T) {
 		for _, off := range []int64{1 << 62, 1<<63 - 2, 1 << 31, MaxFileSize - 1} {
 			if n, err := f.WriteAt(&IOCtx{}, []byte("xy"), off); err != errno.EFBIG || n != 0 {
 				t.Errorf("%s: WriteAt(off %#x) = %d, %v, want 0, EFBIG", tc.name, off, n, err)
+			}
+		}
+		for _, off := range []int64{3, 100, MaxFileSize} {
+			if n, err := f.WriteAt(&IOCtx{}, nil, off); err != nil || n != 0 {
+				t.Errorf("%s: WriteAt(nil, off %#x) = %d, %v, want 0, nil", tc.name, off, n, err)
 			}
 		}
 		for _, size := range []int64{MaxFileSize + 1, 1 << 62, 1<<63 - 1} {

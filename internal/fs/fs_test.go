@@ -430,7 +430,7 @@ func TestTmpfsMatchesReferenceModel(t *testing.T) {
 				rng.Read(data)
 				file.Pwrite(io, data, off)
 				end := off + int64(l)
-				for int64(len(ref)) < end {
+				for l > 0 && int64(len(ref)) < end { // a zero-length write leaves the size alone
 					ref = append(ref, 0)
 				}
 				copy(ref[off:end], data)

@@ -2,7 +2,6 @@ package fs
 
 import (
 	"genesys/internal/blockdev"
-	"genesys/internal/errno"
 )
 
 // SSDFS is a filesystem backed by a simulated SSD, with a per-inode page
@@ -49,12 +48,10 @@ func (s *SSDFS) DropCaches() {
 }
 
 type ssdFile struct {
-	fs     *SSDFS
-	data   []byte
+	fs *SSDFS
+	fileBytes
 	cached map[int64]bool // page index → resident in page cache
 }
-
-func (f *ssdFile) Size() int64 { return int64(len(f.data)) }
 
 func (f *ssdFile) charge(io *IOCtx, n int) {
 	ChargeCopy(io, int64(n), f.fs.BytesPerNS)
@@ -101,13 +98,10 @@ func (f *ssdFile) fault(io *IOCtx, off, n int64) error {
 }
 
 func (f *ssdFile) ReadAt(io *IOCtx, b []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, errno.EINVAL
+	n, err := f.read(b, off)
+	if err != nil {
+		return 0, err
 	}
-	if off >= int64(len(f.data)) {
-		return 0, nil
-	}
-	n := copy(b, f.data[off:])
 	if err := f.fault(io, off, int64(n)); err != nil {
 		return 0, err
 	}
@@ -116,15 +110,10 @@ func (f *ssdFile) ReadAt(io *IOCtx, b []byte, off int64) (int, error) {
 }
 
 func (f *ssdFile) WriteAt(io *IOCtx, b []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, errno.EINVAL
+	n, err := f.write(b, off)
+	if err != nil {
+		return 0, err
 	}
-	if off > MaxFileSize-int64(len(b)) {
-		return 0, errno.EFBIG
-	}
-	end := off + int64(len(b))
-	f.data = growZeroed(f.data, end)
-	n := copy(f.data[off:end], b)
 	// Write-back cache: pages become resident; device write is charged
 	// immediately at page granularity (no dirty tracking).
 	if io != nil && io.P != nil && n > 0 {
@@ -139,19 +128,4 @@ func (f *ssdFile) WriteAt(io *IOCtx, b []byte, off int64) (int, error) {
 	}
 	f.charge(io, n)
 	return n, nil
-}
-
-func (f *ssdFile) Truncate(size int64) error {
-	if size < 0 {
-		return errno.EINVAL
-	}
-	if size > MaxFileSize {
-		return errno.EFBIG
-	}
-	if size <= int64(len(f.data)) {
-		f.data = f.data[:size]
-		return nil
-	}
-	f.data = growZeroed(f.data, size)
-	return nil
 }

@@ -29,11 +29,9 @@ func (t *Tmpfs) Mount(v *VFS, path string) (*Dir, error) {
 }
 
 type tmpFile struct {
-	fs   *Tmpfs
-	data []byte
+	fs *Tmpfs
+	fileBytes
 }
-
-func (f *tmpFile) Size() int64 { return int64(len(f.data)) }
 
 // MaxFileSize is the largest size a tmpfs or ssdfs file may reach: twice
 // the largest workload file (Figure 7's 256 MiB). A write or truncate
@@ -51,37 +49,42 @@ func growZeroed(data []byte, n int64) []byte {
 	return append(data, make([]byte, n-int64(len(data)))...)
 }
 
-func (f *tmpFile) charge(io *IOCtx, n int) {
-	ChargeCopy(io, int64(n), f.fs.BytesPerNS)
+// fileBytes is the in-memory contents of a tmpfs or ssdfs file.
+type fileBytes struct {
+	data []byte
 }
 
-func (f *tmpFile) ReadAt(io *IOCtx, b []byte, off int64) (int, error) {
+func (f *fileBytes) Size() int64 { return int64(len(f.data)) }
+
+// read copies the bytes at off into b; past the end it reads nothing.
+func (f *fileBytes) read(b []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, errno.EINVAL
 	}
 	if off >= int64(len(f.data)) {
 		return 0, nil // EOF
 	}
-	n := copy(b, f.data[off:])
-	f.charge(io, n)
-	return n, nil
+	return copy(b, f.data[off:]), nil
 }
 
-func (f *tmpFile) WriteAt(io *IOCtx, b []byte, off int64) (int, error) {
+// write copies b into the file at off, zero-filling any gap past the
+// old end. A zero-length write leaves the size alone, as POSIX does.
+func (f *fileBytes) write(b []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, errno.EINVAL
 	}
 	if off > MaxFileSize-int64(len(b)) {
 		return 0, errno.EFBIG
 	}
+	if len(b) == 0 {
+		return 0, nil
+	}
 	end := off + int64(len(b))
 	f.data = growZeroed(f.data, end)
-	n := copy(f.data[off:end], b)
-	f.charge(io, n)
-	return n, nil
+	return copy(f.data[off:end], b), nil
 }
 
-func (f *tmpFile) Truncate(size int64) error {
+func (f *fileBytes) Truncate(size int64) error {
 	if size < 0 {
 		return errno.EINVAL
 	}
@@ -94,4 +97,20 @@ func (f *tmpFile) Truncate(size int64) error {
 	}
 	f.data = growZeroed(f.data, size)
 	return nil
+}
+
+func (f *tmpFile) charge(io *IOCtx, n int) {
+	ChargeCopy(io, int64(n), f.fs.BytesPerNS)
+}
+
+func (f *tmpFile) ReadAt(io *IOCtx, b []byte, off int64) (int, error) {
+	n, err := f.read(b, off)
+	f.charge(io, n)
+	return n, err
+}
+
+func (f *tmpFile) WriteAt(io *IOCtx, b []byte, off int64) (int, error) {
+	n, err := f.write(b, off)
+	f.charge(io, n)
+	return n, err
 }

@@ -84,15 +84,17 @@ const DefaultEventCap = 1 << 16
 
 // EventLog is a bounded ring buffer of structured events. It starts
 // disabled so instrumented hot paths cost nothing until a consumer (the
-// -trace flag, a test) opts in; when full, the oldest events are
+// -trace flag, a test) opts in, and the ring's storage is allocated
+// when it is first enabled; when full, the oldest events are
 // overwritten and counted as dropped. All methods are safe on a nil
 // receiver, so call sites need no guards.
 type EventLog struct {
 	enabled  bool
-	buf      []Event
-	head     int   // next write position
-	total    int64 // events ever recorded
-	rejected int64 // spans refused for negative duration
+	capacity int
+	buf      []Event // nil until first enabled
+	head     int     // next write position
+	total    int64   // events ever recorded
+	rejected int64   // spans refused for negative duration
 
 	procNames   map[int]string
 	threadNames map[[2]int]string // (pid, tid) → name
@@ -110,7 +112,7 @@ func NewEventLog(capacity int) *EventLog {
 		capacity = DefaultEventCap
 	}
 	return &EventLog{
-		buf:         make([]Event, 0, capacity),
+		capacity:    capacity,
 		procNames:   make(map[int]string),
 		threadNames: make(map[[2]int]string),
 	}
@@ -118,8 +120,12 @@ func NewEventLog(capacity int) *EventLog {
 
 // SetEnabled switches recording on or off.
 func (l *EventLog) SetEnabled(on bool) {
-	if l != nil {
-		l.enabled = on
+	if l == nil {
+		return
+	}
+	l.enabled = on
+	if on && l.buf == nil {
+		l.buf = make([]Event, 0, l.capacity)
 	}
 }
 
@@ -134,43 +140,12 @@ func (l *EventLog) SetFlight(f *Flight) {
 	}
 }
 
-// CaptureActive reports whether span emission has any consumer — the
-// ring itself or an attached flight recorder. Instrumented paths that
-// build spans conditionally should gate on this, not Enabled, so the
-// always-on flight recorder keeps seeing causal chains in untraced runs.
-func (l *EventLog) CaptureActive() bool {
-	return l != nil && (l.enabled || l.flight != nil)
-}
-
-// SetCapacity resizes the ring to hold up to n events (DefaultEventCap
-// if n <= 0), preserving the newest retained events that fit. Intended
-// for configuration before a run; resizing mid-run keeps the most
-// recent window.
-func (l *EventLog) SetCapacity(n int) {
-	if l == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultEventCap
-	}
-	if n == cap(l.buf) {
-		return
-	}
-	evs := l.Events() // oldest-first
-	if len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	l.buf = make([]Event, len(evs), n)
-	copy(l.buf, evs)
-	l.head = 0 // if already full, the next overwrite hits the oldest event
-}
-
 // Capacity returns the ring's event capacity.
 func (l *EventLog) Capacity() int {
 	if l == nil {
 		return 0
 	}
-	return cap(l.buf)
+	return l.capacity
 }
 
 // NameProcess labels a synthetic process ID in exported traces.
@@ -209,7 +184,7 @@ func (l *EventLog) Span(cat, name string, pid, tid int, start, end sim.Time) {
 // (0 disables linking) at position fp; flowName labels the chain.
 func (l *EventLog) FlowSpan(cat, name string, pid, tid int, start, end sim.Time,
 	flow uint64, fp FlowPhase, flowName string) {
-	if !l.CaptureActive() {
+	if l == nil || !l.enabled && l.flight == nil {
 		return
 	}
 	if end < start {

@@ -22,14 +22,13 @@ import (
 // fixed seed the emitted bundles are byte-identical across runs (gated
 // by the double-run CI determinism check).
 type Flight struct {
-	cfg FlightConfig
-
-	chains    map[uint64]*chain
-	order     []uint64 // insertion (trace-claim) order, oldest first (live from orderHead)
-	orderHead int      // index of the oldest live entry in order
-	free      []*chain // evicted chains recycled to keep the tee allocation-free
-
-	byNR map[int]*Histogram // running per-NR total-latency distribution
+	// ring holds up to chainCap retained chains; once full, head is the
+	// oldest and the next new trace reuses its slot (and events array),
+	// so steady-state recording allocates nothing. index maps a trace
+	// ID to its slot.
+	ring  []chain
+	head  int
+	index map[uint64]int
 
 	// SLO burn-rate sliding window over recent request outcomes.
 	burn      []burnSample
@@ -47,50 +46,36 @@ type Flight struct {
 	lastAt     sim.Time
 }
 
-// FlightConfig bounds the recorder's memory and tunes the detectors.
-// All thresholds are deterministic functions of virtual-time history.
-type FlightConfig struct {
-	// ChainCap bounds retained trace chains; oldest are evicted.
-	ChainCap int
-	// BundleCap bounds bundles per run; further triggers are counted
+// The recorder's bounds and detector thresholds. All thresholds are
+// deterministic functions of virtual-time history, tuned so healthy
+// bench and fleet runs stay silent.
+const (
+	// chainCap bounds retained trace chains (~the event ring's span
+	// budget); the oldest are evicted.
+	chainCap = 2048
+	// bundleCap bounds bundles per run; further triggers are counted
 	// as suppressed.
-	BundleCap int
-	// MinCalls is the per-NR sample count before the latency-outlier
-	// detector arms (a running p99 over a handful of samples is noise).
-	MinCalls int
-	// OutlierFactor triggers latency-outlier when a call's total
-	// latency exceeds OutlierFactor × the running per-NR p99.
-	OutlierFactor float64
-	// BurnWindow is the sliding virtual-time window for the SLO
-	// burn-rate detector; BurnMinRequests outcomes must fall inside it
-	// and the bad fraction must reach BurnThreshold to trigger.
-	BurnWindow      sim.Time
-	BurnMinRequests int
-	BurnThreshold   float64
-	// NeighborMargin widens the implicated chains' virtual-time window
+	bundleCap = 8
+	// outlierMinCalls is the per-NR sample count before the
+	// latency-outlier detector arms (a running p99 over a handful of
+	// samples is noise).
+	outlierMinCalls = 128
+	// outlierFactor triggers latency-outlier when a call's total
+	// latency exceeds outlierFactor × the running per-NR p99.
+	outlierFactor float64 = 16
+	// burnWindow is the sliding virtual-time window for the SLO
+	// burn-rate detector; burnMinRequests outcomes must fall inside it
+	// and the bad fraction must reach burnThreshold to trigger.
+	burnWindow              = sim.Millisecond
+	burnMinRequests         = 64
+	burnThreshold   float64 = 0.25
+	// neighborMargin widens the implicated chains' virtual-time window
 	// when collecting neighbor chains for the bundle's filtered trace.
-	NeighborMargin sim.Time
-	// Cooldown is the minimum virtual-time gap between bundles for the
+	neighborMargin = 20 * sim.Microsecond
+	// cooldown is the minimum virtual-time gap between bundles for the
 	// same reason; triggers inside it are counted as suppressed.
-	Cooldown sim.Time
-}
-
-// DefaultFlightConfig returns the always-on defaults: a few thousand
-// retained chains (~the event ring's span budget), at most 8 bundles a
-// run, and detectors tuned so healthy bench/fleet runs stay silent.
-func DefaultFlightConfig() FlightConfig {
-	return FlightConfig{
-		ChainCap:        2048,
-		BundleCap:       8,
-		MinCalls:        128,
-		OutlierFactor:   16,
-		BurnWindow:      sim.Millisecond,
-		BurnMinRequests: 64,
-		BurnThreshold:   0.25,
-		NeighborMargin:  20 * sim.Microsecond,
-		Cooldown:        250 * sim.Microsecond,
-	}
-}
+	cooldown = 250 * sim.Microsecond
+)
 
 // chain is the retained span set of one causal trace ID.
 type chain struct {
@@ -110,82 +95,54 @@ type snapshotSource struct {
 	fn   func() []byte
 }
 
-// NewFlight returns a recorder with cfg (zero fields take defaults).
-func NewFlight(cfg FlightConfig) *Flight {
-	def := DefaultFlightConfig()
-	if cfg.ChainCap <= 0 {
-		cfg.ChainCap = def.ChainCap
-	}
-	if cfg.BundleCap <= 0 {
-		cfg.BundleCap = def.BundleCap
-	}
-	if cfg.MinCalls <= 0 {
-		cfg.MinCalls = def.MinCalls
-	}
-	if cfg.OutlierFactor <= 0 {
-		cfg.OutlierFactor = def.OutlierFactor
-	}
-	if cfg.BurnWindow <= 0 {
-		cfg.BurnWindow = def.BurnWindow
-	}
-	if cfg.BurnMinRequests <= 0 {
-		cfg.BurnMinRequests = def.BurnMinRequests
-	}
-	if cfg.BurnThreshold <= 0 {
-		cfg.BurnThreshold = def.BurnThreshold
-	}
-	if cfg.NeighborMargin <= 0 {
-		cfg.NeighborMargin = def.NeighborMargin
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = def.Cooldown
-	}
+// NewFlight returns an empty recorder.
+func NewFlight() *Flight {
 	return &Flight{
-		cfg:      cfg,
-		chains:   make(map[uint64]*chain),
-		byNR:     make(map[int]*Histogram),
+		index:    make(map[uint64]int),
 		cooldown: make(map[string]sim.Time),
 	}
 }
 
+// nth returns the k-th oldest retained chain.
+func (f *Flight) nth(k int) *chain {
+	return &f.ring[(f.head+k)%len(f.ring)]
+}
+
+// lookup returns the retained chain of trace id, or nil.
+func (f *Flight) lookup(id uint64) *chain {
+	if i, ok := f.index[id]; ok {
+		return &f.ring[i]
+	}
+	return nil
+}
+
 // addSpan receives one flow-tagged span from the EventLog tee and files
-// it under its trace chain, evicting the oldest chain beyond ChainCap.
-// This is the hot tee off the engine loop: evicted chains (struct and
-// events backing array) go to a freelist and are reused for new traces,
-// and eviction advances a head index instead of re-slicing order, so
-// steady-state recording allocates nothing.
+// it under its trace chain; a new trace beyond chainCap takes over the
+// oldest chain's slot.
 func (f *Flight) addSpan(e Event) {
 	if f == nil || e.Flow == 0 {
 		return
 	}
-	c := f.chains[e.Flow]
-	if c == nil {
-		if n := len(f.free); n > 0 {
-			c = f.free[n-1]
-			f.free[n-1] = nil
-			f.free = f.free[:n-1]
-			*c = chain{id: e.Flow, events: c.events[:0], start: e.Start, end: e.End}
-		} else {
-			c = &chain{id: e.Flow, start: e.Start, end: e.End}
-		}
-		f.chains[e.Flow] = c
-		f.order = append(f.order, e.Flow)
-		for len(f.order)-f.orderHead > f.cfg.ChainCap {
-			victim := f.order[f.orderHead]
-			f.orderHead++
-			if vc := f.chains[victim]; vc != nil {
-				f.free = append(f.free, vc)
+	i, ok := f.index[e.Flow]
+	if !ok {
+		if len(f.ring) < chainCap {
+			if f.ring == nil {
+				// Sized once: growing by doubling allocated ~0.9 MB
+				// more per four-machine fleet run.
+				f.ring = make([]chain, 0, chainCap)
 			}
-			delete(f.chains, victim)
+			i = len(f.ring)
+			f.ring = append(f.ring, chain{})
+		} else {
+			i = f.head
+			f.head = (f.head + 1) % chainCap
+			delete(f.index, f.ring[i].id)
 			f.evicted++
 		}
-		// Compact the dead prefix once it dominates, so order's footprint
-		// stays ~2×ChainCap instead of growing with every eviction.
-		if f.orderHead > f.cfg.ChainCap {
-			f.order = append(f.order[:0], f.order[f.orderHead:]...)
-			f.orderHead = 0
-		}
+		f.ring[i] = chain{id: e.Flow, events: f.ring[i].events[:0], start: e.Start, end: e.End}
+		f.index[e.Flow] = i
 	}
+	c := &f.ring[i]
 	c.events = append(c.events, e)
 	if e.Start < c.start {
 		c.start = e.Start
@@ -208,28 +165,18 @@ func (f *Flight) AddSnapshot(name string, fn func() []byte) {
 	f.snaps = append(f.snaps, snapshotSource{name: name, fn: fn})
 }
 
-// NoteCall feeds one completed syscall's total latency (µs) into the
-// per-NR running distribution and fires the latency-outlier detector
-// when it exceeds OutlierFactor × the running p99. The threshold is
-// checked against the distribution *before* this sample joins it.
-func (f *Flight) NoteCall(name string, nr int, trace uint64, totalUS float64, at sim.Time) {
-	if f == nil {
+// NoteCall fires the latency-outlier detector when a completed call's
+// total latency (µs) exceeds outlierFactor × p99, where n and p99
+// describe the call's per-NR latency distribution before this call
+// joined it. The detector arms at outlierMinCalls samples.
+func (f *Flight) NoteCall(name string, trace uint64, totalUS float64, at sim.Time, n int, p99 float64) {
+	if f == nil || n < outlierMinCalls || p99 <= 0 || totalUS <= outlierFactor*p99 {
 		return
 	}
-	h := f.byNR[nr]
-	if h == nil {
-		h = NewHistogram()
-		f.byNR[nr] = h
-	}
-	if h.N() >= f.cfg.MinCalls {
-		if p99 := h.Quantile(99); p99 > 0 && totalUS > f.cfg.OutlierFactor*p99 {
-			f.trigger("latency-outlier",
-				fmt.Sprintf("%s trace=%d total=%.2fus > %gx running p99=%.2fus (n=%d)",
-					name, trace, totalUS, f.cfg.OutlierFactor, p99, h.N()),
-				at, []uint64{trace})
-		}
-	}
-	h.Add(totalUS)
+	f.trigger("latency-outlier",
+		fmt.Sprintf("%s trace=%d total=%.2fus > %gx running p99=%.2fus (n=%d)",
+			name, trace, totalUS, outlierFactor, p99, n),
+		at, []uint64{trace})
 }
 
 // NoteAbort fires the watchdog-exhaustion detector: the retransmit
@@ -256,22 +203,22 @@ func (f *Flight) NoteSurfaced(at sim.Time) {
 
 // NoteRequest feeds one request outcome (e.g. a fleet client's reply,
 // timeout, drop, or refusal) into the SLO burn-rate window: when at
-// least BurnMinRequests outcomes land inside BurnWindow and the bad
-// fraction reaches BurnThreshold, the slo-burn detector fires and the
-// window re-arms after one full BurnWindow.
+// least burnMinRequests outcomes land inside burnWindow and the bad
+// fraction reaches burnThreshold, the slo-burn detector fires and the
+// window re-arms after one full burnWindow.
 func (f *Flight) NoteRequest(at sim.Time, ok bool) {
 	if f == nil {
 		return
 	}
 	f.burn = append(f.burn, burnSample{at: at, bad: !ok})
 	lo := 0
-	for lo < len(f.burn) && f.burn[lo].at < at-f.cfg.BurnWindow {
+	for lo < len(f.burn) && f.burn[lo].at < at-burnWindow {
 		lo++
 	}
 	if lo > 0 {
 		f.burn = append(f.burn[:0], f.burn[lo:]...)
 	}
-	if at < f.burnUntil || len(f.burn) < f.cfg.BurnMinRequests {
+	if at < f.burnUntil || len(f.burn) < burnMinRequests {
 		return
 	}
 	bad := 0
@@ -281,13 +228,13 @@ func (f *Flight) NoteRequest(at sim.Time, ok bool) {
 		}
 	}
 	frac := float64(bad) / float64(len(f.burn))
-	if frac < f.cfg.BurnThreshold {
+	if frac < burnThreshold {
 		return
 	}
-	f.burnUntil = at + f.cfg.BurnWindow
+	f.burnUntil = at + burnWindow
 	f.trigger("slo-burn",
 		fmt.Sprintf("%d/%d requests bad (%.1f%%) within %v window",
-			bad, len(f.burn), 100*frac, f.cfg.BurnWindow),
+			bad, len(f.burn), 100*frac, burnWindow),
 		at, nil)
 }
 
@@ -295,8 +242,8 @@ func (f *Flight) NoteRequest(at sim.Time, ok bool) {
 // (newest last), for detectors with no direct trace identity.
 func (f *Flight) recentDone(n int) []uint64 {
 	var out []uint64
-	for i := len(f.order) - 1; i >= f.orderHead && len(out) < n; i-- {
-		if c := f.chains[f.order[i]]; c != nil && c.done {
+	for k := len(f.ring) - 1; k >= 0 && len(out) < n; k-- {
+		if c := f.nth(k); c.done {
 			out = append(out, c.id)
 		}
 	}
@@ -313,11 +260,11 @@ func (f *Flight) trigger(reason, detail string, at sim.Time, traces []uint64) {
 		f.suppressed++
 		return
 	}
-	if len(f.bundles) >= f.cfg.BundleCap {
+	if len(f.bundles) >= bundleCap {
 		f.suppressed++
 		return
 	}
-	f.cooldown[reason] = at + f.cfg.Cooldown
+	f.cooldown[reason] = at + cooldown
 	f.bundles = append(f.bundles, f.buildBundle(reason, detail, at, traces))
 }
 
@@ -369,7 +316,7 @@ func (f *Flight) buildBundle(reason, detail string, at sim.Time, traces []uint64
 	var lo, hi sim.Time
 	first := true
 	for _, id := range traces {
-		c := f.chains[id]
+		c := f.lookup(id)
 		if c == nil {
 			continue
 		}
@@ -392,15 +339,12 @@ func (f *Flight) buildBundle(reason, detail string, at sim.Time, traces []uint64
 	// widened by the margin — the concurrent activity that shaped the
 	// anomaly.
 	if !first {
-		lo -= f.cfg.NeighborMargin
-		hi += f.cfg.NeighborMargin
-		for _, id := range f.order[f.orderHead:] {
-			c := f.chains[id]
-			if c == nil || implicated[id] {
-				continue
-			}
-			if c.end >= lo && c.start <= hi {
-				b.Neighbors = append(b.Neighbors, id)
+		lo -= neighborMargin
+		hi += neighborMargin
+		for k := range f.ring {
+			c := f.nth(k)
+			if !implicated[c.id] && c.end >= lo && c.start <= hi {
+				b.Neighbors = append(b.Neighbors, c.id)
 			}
 		}
 		sort.Slice(b.Neighbors, func(i, j int) bool { return b.Neighbors[i] < b.Neighbors[j] })
@@ -411,7 +355,7 @@ func (f *Flight) buildBundle(reason, detail string, at sim.Time, traces []uint64
 	var evs []Event
 	include := func(ids []uint64) {
 		for _, id := range ids {
-			if c := f.chains[id]; c != nil {
+			if c := f.lookup(id); c != nil {
 				evs = append(evs, c.events...)
 			}
 		}
@@ -463,7 +407,7 @@ func (f *Flight) Chains() int {
 	if f == nil {
 		return 0
 	}
-	return len(f.chains)
+	return len(f.ring)
 }
 
 // Evicted returns how many chains were evicted by the retention cap.
@@ -507,9 +451,9 @@ func (f *Flight) Render() string {
 	}
 	n, bad := f.BurnState()
 	fmt.Fprintf(&sb, "  chains retained %d (cap %d, evicted %d)\n",
-		len(f.chains), f.cfg.ChainCap, f.evicted)
+		len(f.ring), chainCap, f.evicted)
 	fmt.Fprintf(&sb, "  anomalies %d  bundles %d/%d  suppressed %d\n",
-		f.anomalies, len(f.bundles), f.cfg.BundleCap, f.suppressed)
+		f.anomalies, len(f.bundles), bundleCap, f.suppressed)
 	fmt.Fprintf(&sb, "  burn window %d requests, %d bad\n", n, bad)
 	if f.lastReason != "" {
 		fmt.Fprintf(&sb, "  last trigger %s at %v: %s\n", f.lastReason, f.lastAt, f.lastDetail)

@@ -14,42 +14,55 @@ func span(flow uint64, phase FlowPhase, start, end sim.Time) Event {
 }
 
 func TestFlightChainRetentionAndEviction(t *testing.T) {
-	f := NewFlight(FlightConfig{ChainCap: 2})
-	f.addSpan(span(1, FlowStart, 0, 10))
-	f.addSpan(span(1, FlowEnd, 10, 20))
-	f.addSpan(span(2, FlowStart, 5, 15))
-	if f.Chains() != 2 || f.Evicted() != 0 {
+	f := NewFlight()
+	for id := uint64(1); id <= chainCap; id++ {
+		f.addSpan(span(id, FlowStart, 0, 10))
+	}
+	f.addSpan(span(1, FlowEnd, 10, 20)) // joins the retained chain 1
+	if f.Chains() != chainCap || f.Evicted() != 0 || len(f.lookup(1).events) != 2 {
 		t.Fatalf("chains=%d evicted=%d", f.Chains(), f.Evicted())
 	}
-	// Third chain evicts the oldest (trace 1).
-	f.addSpan(span(3, FlowStart, 20, 30))
-	if f.Chains() != 2 || f.Evicted() != 1 {
+	// New traces evict the oldest chains in insertion order and take
+	// over their slots, events arrays included.
+	slot1 := &f.lookup(1).events[:1][0]
+	f.addSpan(span(chainCap+1, FlowStart, 20, 30))
+	f.addSpan(span(chainCap+2, FlowStart, 20, 30))
+	if f.Chains() != chainCap || f.Evicted() != 2 {
 		t.Fatalf("after eviction: chains=%d evicted=%d", f.Chains(), f.Evicted())
 	}
-	if f.chains[1] != nil || f.chains[2] == nil || f.chains[3] == nil {
+	if f.lookup(1) != nil || f.lookup(2) != nil || f.lookup(3) == nil ||
+		f.lookup(chainCap+1) == nil || f.lookup(chainCap+2) == nil {
 		t.Fatal("evicted the wrong chain")
+	}
+	if c := f.lookup(chainCap + 1); len(c.events) != 1 || &c.events[0] != slot1 {
+		t.Fatal("evicted chain's slot was not reused")
+	}
+	// Across the ring's wrap point, the newest completed chains are
+	// still the ones implicated.
+	f.addSpan(span(chainCap+1, FlowEnd, 30, 40))
+	f.addSpan(span(chainCap, FlowEnd, 30, 40))
+	f.addSpan(span(3, FlowEnd, 30, 40))
+	if got := f.recentDone(2); len(got) != 2 || got[0] != chainCap || got[1] != chainCap+1 {
+		t.Fatalf("recentDone across wrap = %v", got)
 	}
 }
 
 func TestFlightLatencyOutlierDetector(t *testing.T) {
-	f := NewFlight(FlightConfig{MinCalls: 4, OutlierFactor: 10})
+	f := NewFlight()
 	f.addSpan(span(99, FlowStart, 0, 10))
 	f.addSpan(span(99, FlowEnd, 10, 25*1000))
-	// Not armed until MinCalls samples exist; these are all ~25us.
-	for i := 0; i < 4; i++ {
-		f.NoteCall("pread", 17, uint64(i), 25, sim.Time(i)*sim.Microsecond)
-	}
+	// Not armed until outlierMinCalls earlier samples exist.
+	f.NoteCall("pread", 98, 1000, 100*sim.Microsecond, outlierMinCalls-1, 25)
 	if f.Anomalies() != 0 {
 		t.Fatalf("fired while arming: %d", f.Anomalies())
 	}
-	// Exactly factor × p99 (10 × 25 = 250) does not trigger — strictly
-	// greater is required — but the sample joins the distribution and
-	// lifts the running p99 to 250 (threshold now 2500).
-	f.NoteCall("pread", 17, 98, 250, 100*sim.Microsecond)
+	// Exactly factor × p99 (16 × 25 = 400) does not trigger — strictly
+	// greater is required.
+	f.NoteCall("pread", 98, 400, 150*sim.Microsecond, outlierMinCalls, 25)
 	if f.Anomalies() != 0 {
 		t.Fatalf("fired at threshold boundary: %d", f.Anomalies())
 	}
-	f.NoteCall("pread", 17, 99, 2600, 200*sim.Microsecond)
+	f.NoteCall("pread", 99, 401, 200*sim.Microsecond, outlierMinCalls, 25)
 	if f.Anomalies() != 1 || f.BundleCount() != 1 {
 		t.Fatalf("anomalies=%d bundles=%d", f.Anomalies(), f.BundleCount())
 	}
@@ -57,66 +70,70 @@ func TestFlightLatencyOutlierDetector(t *testing.T) {
 	if b.Reason != "latency-outlier" || len(b.TraceIDs) != 1 || b.TraceIDs[0] != 99 {
 		t.Fatalf("bundle: reason=%s traces=%v", b.Reason, b.TraceIDs)
 	}
-	if !strings.Contains(b.Detail, "pread trace=99") {
-		t.Fatalf("detail: %s", b.Detail)
+	want := "pread trace=99 total=401.00us > 16x running p99=25.00us (n=128)"
+	if b.Detail != want {
+		t.Fatalf("detail: %s, want %s", b.Detail, want)
 	}
 }
 
 func TestFlightBurnRateDetector(t *testing.T) {
-	f := NewFlight(FlightConfig{BurnWindow: sim.Millisecond,
-		BurnMinRequests: 10, BurnThreshold: 0.5})
+	f := NewFlight()
 	at := func(i int) sim.Time { return sim.Time(i) * 10 * sim.Microsecond }
-	// 9 outcomes (below min) — never fires even though all are bad.
-	for i := 0; i < 9; i++ {
+	// One outcome short of burnMinRequests — never fires even though
+	// all are bad.
+	for i := 0; i < burnMinRequests-1; i++ {
 		f.NoteRequest(at(i), false)
 	}
 	if f.Anomalies() != 0 {
-		t.Fatalf("fired under BurnMinRequests: %d", f.Anomalies())
+		t.Fatalf("fired under burnMinRequests: %d", f.Anomalies())
 	}
-	// A 10th good outcome: window holds 10, 9 bad = 90% ≥ 50%.
-	f.NoteRequest(at(9), true)
+	// A good outcome fills the window: 63 of 64 bad ≥ burnThreshold.
+	f.NoteRequest(at(burnMinRequests-1), true)
 	if f.Anomalies() != 1 {
 		t.Fatalf("burn did not fire: %d", f.Anomalies())
 	}
-	if _, detail, _ := f.Last(); !strings.Contains(detail, "9/10 requests bad") {
+	if _, detail, _ := f.Last(); detail != "63/64 requests bad (98.4%) within 1.000ms window" {
 		t.Fatalf("detail: %s", detail)
 	}
 	// Re-armed only after a full window: more bad outcomes inside the
 	// re-arm window are accounted but do not trigger again.
-	f.NoteRequest(at(10), false)
+	f.NoteRequest(at(burnMinRequests), false)
 	if f.Anomalies() != 1 {
 		t.Fatalf("burn re-fired inside re-arm window: %d", f.Anomalies())
 	}
 	// Old samples slide out of the window.
-	f.NoteRequest(at(9)+2*sim.Millisecond, true)
+	f.NoteRequest(at(burnMinRequests)+2*burnWindow, true)
 	if n, bad := f.BurnState(); n != 1 || bad != 0 {
 		t.Fatalf("window did not slide: n=%d bad=%d", n, bad)
 	}
 }
 
 func TestFlightCooldownAndBundleCap(t *testing.T) {
-	f := NewFlight(FlightConfig{BundleCap: 2, Cooldown: 100 * sim.Microsecond})
+	f := NewFlight()
 	f.NoteAbort("pread", 1, 10*sim.Microsecond)
 	f.NoteAbort("pread", 2, 20*sim.Microsecond) // inside cooldown
 	if f.BundleCount() != 1 || f.Suppressed() != 1 {
 		t.Fatalf("bundles=%d suppressed=%d", f.BundleCount(), f.Suppressed())
 	}
-	f.NoteAbort("pread", 3, 200*sim.Microsecond) // past cooldown
-	f.NoteAbort("pread", 4, 500*sim.Microsecond) // past cooldown but capped
-	if f.BundleCount() != 2 || f.Suppressed() != 2 || f.Anomalies() != 4 {
+	// Each trigger past the cooldown freezes a bundle until the cap.
+	for k := 1; k <= bundleCap; k++ {
+		f.NoteAbort("pread", uint64(2+k), 10*sim.Microsecond+sim.Time(k)*cooldown)
+	}
+	if f.BundleCount() != bundleCap || f.Suppressed() != 2 || f.Anomalies() != bundleCap+2 {
 		t.Fatalf("bundles=%d suppressed=%d anomalies=%d",
 			f.BundleCount(), f.Suppressed(), f.Anomalies())
 	}
 }
 
 func TestFlightBundleFiltersTraceAndNeighbors(t *testing.T) {
-	f := NewFlight(FlightConfig{NeighborMargin: 5 * sim.Microsecond})
+	f := NewFlight()
 	us := sim.Microsecond
 	// Implicated chain 7 spans [100us, 140us].
 	f.addSpan(span(7, FlowStart, 100*us, 120*us))
 	f.addSpan(span(7, FlowEnd, 120*us, 140*us))
-	// Chain 8 overlaps the widened window; chain 9 is far away.
-	f.addSpan(span(8, FlowStart, 140*us, 160*us))
+	// Chain 8 overlaps the window widened by neighborMargin; chain 9 is
+	// far away.
+	f.addSpan(span(8, FlowStart, 140*us+neighborMargin, 170*us))
 	f.addSpan(span(9, FlowStart, 300*us, 320*us))
 	f.AddSnapshot("state", func() []byte { return []byte("frozen") })
 	f.NoteAbort("pread", 7, 140*us)
@@ -151,7 +168,7 @@ func TestFlightBundleFiltersTraceAndNeighbors(t *testing.T) {
 }
 
 func TestFlightDetectorsWithoutTracesImplicateRecentDone(t *testing.T) {
-	f := NewFlight(FlightConfig{})
+	f := NewFlight()
 	us := sim.Microsecond
 	for id := uint64(1); id <= 6; id++ {
 		f.addSpan(span(id, FlowStart, sim.Time(id)*10*us, sim.Time(id)*10*us+5*us))
@@ -175,14 +192,11 @@ func TestFlightDetectorsWithoutTracesImplicateRecentDone(t *testing.T) {
 
 func TestFlightTeeWorksWithRingDisabled(t *testing.T) {
 	l := NewEventLog(8)
-	f := NewFlight(FlightConfig{})
+	f := NewFlight()
 	l.SetFlight(f)
-	if !l.CaptureActive() {
-		t.Fatal("capture should be active with a flight attached")
-	}
 	l.FlowSpan("syscall", "queueing", PIDSyscalls, 1, 0, 10, 42, FlowStart, "pread")
 	l.FlowSpan("syscall", "completion", PIDSyscalls, 1, 10, 20, 42, FlowEnd, "pread")
-	if f.Chains() != 1 || !f.chains[42].done {
+	if f.Chains() != 1 || !f.lookup(42).done {
 		t.Fatalf("tee missed spans: chains=%d", f.Chains())
 	}
 	// Ring itself stayed disabled: no retained events, no drops.
@@ -202,14 +216,14 @@ func TestFlightRenderAndNilSafety(t *testing.T) {
 	if nilF.Anomalies() != 0 || nilF.BundleCount() != 0 || nilF.Chains() != 0 {
 		t.Fatal("nil accessors")
 	}
-	nilF.NoteCall("x", 1, 1, 1, 0)
+	nilF.NoteCall("x", 1, 1, 0, outlierMinCalls, 0)
 	nilF.NoteAbort("x", 1, 0)
 	nilF.NoteSurfaced(0)
 	nilF.NoteRequest(0, true)
 	if !strings.Contains(nilF.Render(), "not attached") {
 		t.Fatal("nil render")
 	}
-	f := NewFlight(FlightConfig{})
+	f := NewFlight()
 	f.NoteAbort("pread", 1, 50*sim.Microsecond)
 	out := f.Render()
 	for _, want := range []string{"anomalies 1", "last trigger watchdog-exhausted",
@@ -220,26 +234,23 @@ func TestFlightRenderAndNilSafety(t *testing.T) {
 	}
 }
 
-func TestEventLogSetCapacity(t *testing.T) {
+func TestEventLogAllocatesRingOnEnable(t *testing.T) {
 	l := NewEventLog(4)
+	if l.Capacity() != 4 || l.buf != nil {
+		t.Fatalf("disabled log holds storage: cap=%d buf=%d", l.Capacity(), cap(l.buf))
+	}
 	l.SetEnabled(true)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		l.Span("t", "e", 1, 1, sim.Time(i), sim.Time(i)+1)
 	}
-	l.SetCapacity(2)
-	if l.Capacity() != 2 || l.Len() != 2 {
-		t.Fatalf("cap=%d len=%d", l.Capacity(), l.Len())
+	if cap(l.buf) != 4 || l.Len() != 4 || l.Dropped() != 2 {
+		t.Fatalf("cap=%d len=%d dropped=%d", cap(l.buf), l.Len(), l.Dropped())
 	}
-	// The newest two events survive.
-	evs := l.Events()
-	if evs[0].Start != 2 || evs[1].Start != 3 {
-		t.Fatalf("kept wrong events: %+v", evs)
-	}
-	// Growing keeps everything and continues accepting.
-	l.SetCapacity(8)
-	l.Span("t", "e", 1, 1, 10, 11)
-	if l.Capacity() != 8 || l.Len() != 3 {
-		t.Fatalf("after grow: cap=%d len=%d", l.Capacity(), l.Len())
+	// Re-enabling keeps the retained window.
+	l.SetEnabled(false)
+	l.SetEnabled(true)
+	if evs := l.Events(); len(evs) != 4 || evs[0].Start != 2 {
+		t.Fatalf("re-enable lost events: %+v", evs)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"genesys/internal/sim"
 )
 
-// DefaultUtilBin is the bin width of utilization time-series tracks.
-const DefaultUtilBin = sim.Millisecond
+// utilBin is the bin width of utilization time-series tracks.
+const utilBin = sim.Millisecond
 
 // UtilTrack is one virtual-time occupancy timeline (busy CPU cores,
 // busy OS workers, resident GPU waves, ...). Call sites report +1/-1
@@ -148,18 +148,8 @@ func (t *UtilTrack) timeline(now sim.Time, width int) string {
 // Util is the registry of a machine's utilization tracks, rendered at
 // /sys/genesys/util and exported as Chrome counter tracks.
 type Util struct {
-	bin    sim.Time
 	tracks []*UtilTrack
 	log    *EventLog
-}
-
-// NewUtil returns an empty utilization registry with the given bin
-// width (DefaultUtilBin if <= 0).
-func NewUtil(bin sim.Time) *Util {
-	if bin <= 0 {
-		bin = DefaultUtilBin
-	}
-	return &Util{bin: bin}
 }
 
 // Track registers a new timeline. capacity enables percent-of-capacity
@@ -169,7 +159,7 @@ func (u *Util) Track(name string, capacity int) *UtilTrack {
 		name:   name,
 		cap:    capacity,
 		tid:    len(u.tracks),
-		series: sim.NewSeries(u.bin),
+		series: sim.NewSeries(utilBin),
 		log:    u.log,
 	}
 	u.tracks = append(u.tracks, t)
@@ -193,7 +183,7 @@ func (u *Util) Tracks() []*UtilTrack { return u.tracks }
 // compressed timeline of the whole run.
 func (u *Util) Render(now sim.Time) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "utilization over %s (timeline bin %s):\n", now, u.bin)
+	fmt.Fprintf(&b, "utilization over %s (timeline bin %s):\n", now, utilBin)
 	fmt.Fprintf(&b, "  %-22s %5s %5s %8s %7s  %s\n",
 		"track", "cap", "cur", "mean", "util%", "timeline (low '.' to high '@')")
 	for _, t := range u.tracks {

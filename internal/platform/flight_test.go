@@ -5,8 +5,11 @@ import (
 	"testing"
 
 	"genesys/internal/core"
+	"genesys/internal/gpu"
 	"genesys/internal/obs"
 	"genesys/internal/platform"
+	"genesys/internal/sim"
+	"genesys/internal/syscalls"
 )
 
 // TestFlightWiringAndSysfs: every machine carries an always-on flight
@@ -51,6 +54,50 @@ func TestFlightWiringAndSysfs(t *testing.T) {
 		if !strings.Contains(string(top), want) {
 			t.Fatalf("top view lacks %q:\n%s", want, top)
 		}
+	}
+}
+
+// TestLatencyOutlierEndToEnd: after enough short nanosleeps to arm the
+// detector, one long nanosleep trips latency-outlier through the real
+// syscall path, and the bundle's critpath snapshot already counts it.
+func TestLatencyOutlierEndToEnd(t *testing.T) {
+	m := platform.New(platform.DefaultConfig())
+	t.Cleanup(m.Shutdown)
+	m.NewProcess("sleeper")
+	const short = 130
+	m.E.Spawn("host", func(p *sim.Proc) {
+		k := m.GPU.Launch(p, gpu.Kernel{
+			Name: "sleeper", WorkGroups: 1, WGSize: 64,
+			Fn: func(w *gpu.Wavefront) {
+				for i := 0; i <= short; i++ {
+					d := sim.Microsecond
+					if i == short {
+						d = 10 * sim.Millisecond
+					}
+					m.Genesys.InvokeWG(w, syscalls.Request{
+						NR:   syscalls.SYS_nanosleep,
+						Args: [6]uint64{uint64(d)},
+					}, core.Options{Blocking: true, Wait: core.WaitHaltResume})
+				}
+			},
+		})
+		k.Wait(p)
+		m.Genesys.Drain(p)
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	bs := m.Obs.Flight.Bundles()
+	if len(bs) != 1 || bs[0].Reason != "latency-outlier" {
+		t.Fatalf("want one latency-outlier bundle, got %d (anomalies %d)",
+			len(bs), m.Obs.Flight.Anomalies())
+	}
+	b := bs[0]
+	if !strings.HasPrefix(b.Detail, "nanosleep trace=") || !strings.HasSuffix(b.Detail, "(n=130)") {
+		t.Fatalf("detail: %s", b.Detail)
+	}
+	if !strings.Contains(b.Snapshots["critpath"], "over 131 traced call(s)") {
+		t.Fatalf("critpath snapshot misses the outlier:\n%s", b.Snapshots["critpath"])
 	}
 }
 

@@ -99,13 +99,17 @@ func TestMetricsRegistryAndSysfs(t *testing.T) {
 		}
 	}
 
-	// The legacy stats file now exports slot_conflicts too.
-	stats, err := m.ReadFile("/sys/genesys/stats")
-	if err != nil {
-		t.Fatal(err)
+	// Every statistic of the deleted /sys/genesys/stats file lives on
+	// in the metrics file.
+	for _, name := range []string{"invocations", "batches", "batched_waves",
+		"slot_conflicts", "outstanding", "orphans_adopted", "orphans_completed",
+		"orphans_live"} {
+		if !strings.Contains(out, "\ngenesys."+name+" ") {
+			t.Fatalf("metrics file misses genesys.%s:\n%s", name, out)
+		}
 	}
-	if !strings.Contains(string(stats), "slot_conflicts ") {
-		t.Fatalf("stats file misses slot_conflicts:\n%s", stats)
+	if _, err := m.ReadFile("/sys/genesys/stats"); err == nil {
+		t.Fatal("/sys/genesys/stats still served")
 	}
 }
 

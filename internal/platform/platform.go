@@ -165,7 +165,7 @@ func New(cfg Config) *Machine {
 // the event log is attached to the GPU, kernel and GENESYS layers, and
 // the registry is served at /sys/genesys/metrics.
 func (m *Machine) wireObservability(pool *vmm.Pool) {
-	m.Obs = obs.New()
+	m.Obs = obs.New(m.Cfg.EventCap)
 	reg := m.Obs.Metrics
 
 	reg.RegisterCounter("gpu.kernels_launched", &m.GPU.KernelsLaunched)
@@ -254,9 +254,6 @@ func (m *Machine) wireObservability(pool *vmm.Pool) {
 	})
 
 	ev := m.Obs.Events
-	if m.Cfg.EventCap > 0 {
-		ev.SetCapacity(m.Cfg.EventCap)
-	}
 	reg.RegisterGauge("obs.events_dropped", ev.Dropped)
 	reg.RegisterGauge("obs.events_rejected", ev.Rejected)
 	ev.NameProcess(obs.PIDGPU, "gpu")

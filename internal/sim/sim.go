@@ -637,5 +637,11 @@ func (e *Engine) Shutdown() {
 		p.killed = true
 		e.resume(p)
 	}
+	// Mark pending timers inert so a later Cancel is a no-op.
+	for _, ev := range e.heap {
+		if ev.tmr != nil {
+			ev.tmr.pos = -1
+		}
+	}
 	e.heap = nil
 }

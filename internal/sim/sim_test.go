@@ -419,6 +419,20 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
+// TestCancelAfterShutdownIsNoop: Shutdown drops pending events, so a
+// timer canceled afterwards has nothing left to remove.
+func TestCancelAfterShutdownIsNoop(t *testing.T) {
+	e := NewEngine(1)
+	tmrs := []*Timer{e.At(Second, func() {}), e.After(2*Second, func() {})}
+	e.Shutdown()
+	for _, tm := range tmrs {
+		tm.Cancel()
+	}
+	if n := e.Stats().TimersCanceled; n != 0 {
+		t.Fatalf("canceled %d dropped timers", n)
+	}
+}
+
 func TestShutdownReapsProcs(t *testing.T) {
 	e := NewEngine(1)
 	c := NewCond(e)
